@@ -742,12 +742,7 @@ impl SessionManager {
             .repartition(node_id, PartitionId::new(to))
             .map_err(|e| ServiceError::new(ErrorKind::Engine, e.to_string()))?;
         let request = Request::Repartition { session: name.to_owned(), node, to };
-        self.journal_append(&request, req_id)?;
-        managed.session = next;
-        self.replicate(&request, req_id);
-        managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
-        self.maybe_compact(&sessions);
-        Ok(())
+        self.commit(&mut sessions, name, next, request, req_id)
     }
 
     /// Runs the move-based optimizer on a named session. Like
@@ -808,13 +803,11 @@ impl SessionManager {
                 .apply_moves(&node_moves)
                 .map_err(|e| ServiceError::new(ErrorKind::Engine, e.to_string()))?;
             let request = Request::ApplyMoves { session: name.to_owned(), moves };
-            self.journal_append(&request, req_id)?;
-            managed.session = next;
-            self.replicate(&request, req_id);
-            managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
+            self.commit(&mut sessions, name, next, request, req_id)?;
         }
-        managed.last_run = Some(RunSummary::from_outcome(&result.outcome));
-        self.maybe_compact(&sessions);
+        if let Some(managed) = sessions.get_mut(name) {
+            managed.last_run = Some(RunSummary::from_outcome(&result.outcome));
+        }
         Ok(OptimizeSummary::from_result(&result))
     }
 
@@ -845,12 +838,7 @@ impl SessionManager {
             .apply_moves(&node_moves)
             .map_err(|e| ServiceError::new(ErrorKind::Engine, e.to_string()))?;
         let request = Request::ApplyMoves { session: name.to_owned(), moves: moves.to_vec() };
-        self.journal_append(&request, req_id)?;
-        managed.session = next;
-        self.replicate(&request, req_id);
-        managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
-        self.maybe_compact(&sessions);
-        Ok(())
+        self.commit(&mut sessions, name, next, request, req_id)
     }
 
     /// Replaces a session's performance/delay constraints — the paper's
@@ -895,11 +883,28 @@ impl SessionManager {
             .map_err(|e| ServiceError::new(ErrorKind::Spec, e.to_string()))?;
         let request =
             Request::SetConstraints { session: name.to_owned(), performance_ns, delay_ns };
+        self.commit(&mut sessions, name, next, request, req_id)
+    }
+
+    /// Commits a validated mutation of the open session `name`: journals
+    /// `request` (an append failure refuses the mutation), installs
+    /// `next`, replicates, records the entry in the session's history and
+    /// compacts the journal when due. The caller holds the manager lock.
+    fn commit(
+        &self,
+        sessions: &mut HashMap<String, Managed>,
+        name: &str,
+        next: Session,
+        request: Request,
+        req_id: Option<&str>,
+    ) -> Result<(), ServiceError> {
         self.journal_append(&request, req_id)?;
-        managed.session = next;
         self.replicate(&request, req_id);
-        managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
-        self.maybe_compact(&sessions);
+        if let Some(managed) = sessions.get_mut(name) {
+            managed.session = next;
+            managed.mutations.push(JournalEntry { request, req_id: req_id.map(str::to_owned) });
+        }
+        self.maybe_compact(sessions);
         Ok(())
     }
 

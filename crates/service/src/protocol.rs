@@ -6,10 +6,32 @@
 //! are ignored for forward compatibility; an unknown *type* or a version
 //! mismatch is a [`ErrorKind::Protocol`] error.
 //!
-//! Encoding and decoding are hand-written against the [`json`](crate::json)
-//! module (the vendored `serde` is a no-op stub), and the round-trip
-//! guarantee — `decode(encode(m)) == m` for every variant — is enforced by
-//! property tests in `tests/protocol_roundtrip.rs`.
+//! Each wire shape is declared once, in three tables after the message
+//! types, and macros generate both the encoder and the decoder from them
+//! (over the [`json`](crate::json) value model):
+//!
+//! - `wire_tags!` maps the unit enums ([`ErrorKind`], `Heuristic`,
+//!   `Completion`, `MoveKind`) to their string tags;
+//! - `wire_struct!` lists the fields of each nested object (the params,
+//!   the summaries, `CacheStats`, [`ServiceError`]);
+//! - `wire_enum!` has one row per message, `Variant = "type" { field: mode }`.
+//!
+//! The wire key is the Rust field name and fields are written in table
+//! order. A field's *mode* says how absence is handled: `req` (must be
+//! present), `opt` (written only when `Some`), `null` (written as `null`
+//! when `None`), `def` (absent → the struct's `Default`), `or(x)` (absent
+//! → `x`), `nonempty` (written only when non-empty, absent → empty),
+//! `flat` (a struct's fields inline in the parent) and `custom(put, take)`
+//! (the legacy flat budget alias, the only one). `null` reads as absent
+//! everywhere. Three shapes are hand-written, in each enum's
+//! `encode_other`/`decode_other`: `pong` writes `epoch` only next to
+//! `role`, `role_change` folds two flags into one `role` tag, and `error`
+//! carries a bare [`ServiceError`].
+//!
+//! To add a variant, add its row to the enum's table (and a sample to
+//! `tests/wire_golden.rs`). The bytes are pinned by that golden fixture,
+//! and `decode(encode(m)) == m` for every variant by the property tests in
+//! `tests/protocol_roundtrip.rs`.
 //!
 //! Requests may additionally carry an optional client-generated `req_id`
 //! envelope field ([`Request::encode_tagged`] /
@@ -24,7 +46,7 @@ use chop_core::prelude::{
     CacheStats, Completion, Heuristic, MoveKind, OptimizeResult, SearchOutcome,
 };
 
-use crate::json::{self, obj, Value};
+use crate::json::{self, Value};
 
 /// The wire-protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -58,35 +80,6 @@ pub enum ErrorKind {
     /// own. The error carries the refusing node's epoch and its best
     /// guess at the current primary so the caller can rejoin.
     Fenced,
-}
-
-impl ErrorKind {
-    fn wire(self) -> &'static str {
-        match self {
-            ErrorKind::Protocol => "protocol",
-            ErrorKind::UnknownSession => "unknown_session",
-            ErrorKind::SessionExists => "session_exists",
-            ErrorKind::Spec => "spec",
-            ErrorKind::Engine => "engine",
-            ErrorKind::Internal => "internal",
-            ErrorKind::Standby => "standby",
-            ErrorKind::Fenced => "fenced",
-        }
-    }
-
-    fn from_wire(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "protocol" => ErrorKind::Protocol,
-            "unknown_session" => ErrorKind::UnknownSession,
-            "session_exists" => ErrorKind::SessionExists,
-            "spec" => ErrorKind::Spec,
-            "engine" => ErrorKind::Engine,
-            "internal" => ErrorKind::Internal,
-            "standby" => ErrorKind::Standby,
-            "fenced" => ErrorKind::Fenced,
-            _ => return None,
-        })
-    }
 }
 
 /// A typed service failure, sent on the wire as the `error` response and
@@ -130,7 +123,7 @@ impl ServiceError {
 
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} error: {}", self.kind.wire(), self.message)?;
+        write!(f, "{} error: {}", self.kind.tag(), self.message)?;
         if let Some(primary) = &self.primary {
             write!(f, " (current primary: {primary})")?;
         }
@@ -201,32 +194,6 @@ impl BudgetEnvelope {
     pub fn is_empty(&self) -> bool {
         self.deadline_ms.is_none() && self.max_trials.is_none()
     }
-}
-
-fn push_budget(pairs: &mut Vec<(&str, Value)>, budget: &BudgetEnvelope) {
-    if budget.is_empty() {
-        return;
-    }
-    let mut inner = Vec::new();
-    push_opt_u64(&mut inner, "deadline_ms", budget.deadline_ms);
-    push_opt_u64(&mut inner, "max_trials", budget.max_trials);
-    pairs.push(("budget", obj(inner)));
-}
-
-/// Decodes the budget envelope: the nested `"budget"` object when
-/// present, else the legacy flat `deadline_ms` / `max_trials` fields.
-fn budget_from_value(v: &Value) -> Result<BudgetEnvelope, ServiceError> {
-    let carrier = match v.get("budget") {
-        Some(Value::Null) | None => v,
-        Some(nested @ Value::Obj(_)) => nested,
-        Some(_) => {
-            return Err(ServiceError::protocol("field \"budget\" must be an object"));
-        }
-    };
-    Ok(BudgetEnvelope {
-        deadline_ms: opt_field(carrier, "deadline_ms", u64_field)?,
-        max_trials: opt_field(carrier, "max_trials", u64_field)?,
-    })
 }
 
 /// Parameters of an `explore` request; the budget reuses the core
@@ -705,181 +672,432 @@ pub enum Response {
     Error(ServiceError),
 }
 
-fn heuristic_wire(h: Heuristic) -> &'static str {
-    match h {
-        Heuristic::Enumeration => "E",
-        Heuristic::Iterative => "I",
+// ---- the codec ---------------------------------------------------------
+//
+// Every wire shape is declared once, in the `wire_tags!`, `wire_struct!`
+// and `wire_enum!` tables below; the macros generate both directions.
+
+/// A value with one JSON form: the field types of the tables.
+trait Wire: Sized {
+    fn put(&self) -> Value;
+    /// Decodes one value; the error says what was expected.
+    fn take(v: &Value) -> Result<Self, ServiceError>;
+}
+
+/// The fields of one wire object, in the order they are written.
+type Fields = Vec<(String, Value)>;
+
+fn expected(what: &str) -> ServiceError {
+    ServiceError::protocol(format!("expected {what}"))
+}
+
+impl Wire for String {
+    fn put(&self) -> Value {
+        Value::Str(self.clone())
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        v.as_str().map(str::to_owned).ok_or_else(|| expected("a string"))
     }
 }
 
-fn heuristic_from_wire(tag: &str) -> Option<Heuristic> {
-    match tag {
-        "E" => Some(Heuristic::Enumeration),
-        "I" => Some(Heuristic::Iterative),
-        _ => None,
-    }
-}
-
-fn move_kind_wire(k: MoveKind) -> &'static str {
-    match k {
-        MoveKind::Gain => "gain",
-        MoveKind::Kick => "kick",
-    }
-}
-
-fn move_kind_from_wire(tag: &str) -> Option<MoveKind> {
-    match tag {
-        "gain" => Some(MoveKind::Gain),
-        "kick" => Some(MoveKind::Kick),
-        _ => None,
-    }
-}
-
-fn completion_wire(c: Completion) -> &'static str {
-    match c {
-        Completion::Complete => "complete",
-        Completion::TruncatedDeadline => "truncated_deadline",
-        Completion::TruncatedTrials => "truncated_trials",
-        Completion::DegradedToIterative => "degraded_to_iterative",
-    }
-}
-
-fn completion_from_wire(tag: &str) -> Option<Completion> {
-    match tag {
-        "complete" => Some(Completion::Complete),
-        "truncated_deadline" => Some(Completion::TruncatedDeadline),
-        "truncated_trials" => Some(Completion::TruncatedTrials),
-        "degraded_to_iterative" => Some(Completion::DegradedToIterative),
-        _ => None,
-    }
-}
-
-// ---- field accessors -------------------------------------------------
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ServiceError> {
-    v.get(key).ok_or_else(|| ServiceError::protocol(format!("missing field {key:?}")))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, ServiceError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be a string")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, ServiceError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be an integer")))
-}
-
-fn str_array(v: &Value, key: &str) -> Result<Vec<String>, ServiceError> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be an array")))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| ServiceError::protocol(format!("{key} items must be strings")))
-        })
-        .collect()
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, ServiceError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be a number")))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, ServiceError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be a boolean")))
-}
-
-fn u32_field(v: &Value, key: &str) -> Result<u32, ServiceError> {
-    u32::try_from(u64_field(v, key)?)
-        .map_err(|_| ServiceError::protocol(format!("field {key:?} out of u32 range")))
-}
-
-/// `Some(x)` if `key` is present and non-null, mapped through `get`.
-fn opt_field<T>(
-    v: &Value,
-    key: &str,
-    get: impl Fn(&Value, &str) -> Result<T, ServiceError>,
-) -> Result<Option<T>, ServiceError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(_) => get(v, key).map(Some),
-    }
-}
-
-/// One non-negative integer in u32 range, out of an array element.
-fn u32_item(v: &Value) -> Result<u32, ServiceError> {
-    v.as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| ServiceError::protocol("array items must be u32 integers"))
-}
-
-/// An array of u32s under `key`, `None` when absent.
-fn u32_array(v: &Value, key: &str) -> Result<Option<Vec<u32>>, ServiceError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(arr) => arr
-            .as_arr()
-            .ok_or_else(|| ServiceError::protocol(format!("field {key:?} must be an array")))?
-            .iter()
-            .map(u32_item)
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-    }
-}
-
-/// A nested array value as a list of u32s.
-fn u32_items(v: &Value) -> Result<Vec<u32>, ServiceError> {
-    v.as_arr()
-        .ok_or_else(|| ServiceError::protocol("expected a nested array of integers"))?
-        .iter()
-        .map(u32_item)
-        .collect()
-}
-
-/// A two-element `[a, b]` array value as a u32 pair.
-fn u32_pair(v: &Value) -> Result<(u32, u32), ServiceError> {
-    let items = u32_items(v)?;
-    let [a, b] = items[..] else {
-        return Err(ServiceError::protocol("expected a two-element [a, b] integer pair"));
-    };
-    Ok((a, b))
-}
-
-fn push_opt_u64(pairs: &mut Vec<(&str, Value)>, key: &'static str, v: Option<u64>) {
-    if let Some(n) = v {
+/// Wire numbers ride on JSON doubles, so integers above 2^53 are rejected
+/// on decode rather than silently rounded.
+impl Wire for u64 {
+    fn put(&self) -> Value {
         #[allow(clippy::cast_precision_loss)]
-        pairs.push((key, Value::Num(n as f64)));
+        Value::Num(*self as f64)
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        v.as_u64().ok_or_else(|| expected("a non-negative integer"))
     }
 }
 
-fn envelope(kind: &str, mut rest: Vec<(&str, Value)>) -> Value {
-    #[allow(clippy::cast_precision_loss)]
-    let mut pairs =
-        vec![("v", Value::Num(PROTOCOL_VERSION as f64)), ("type", Value::Str(kind.into()))];
-    pairs.append(&mut rest);
-    obj(pairs)
+impl Wire for u32 {
+    fn put(&self) -> Value {
+        Value::Num(f64::from(*self))
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or_else(|| expected("a u32 integer"))
+    }
 }
 
-/// Parses and checks the `"v"` / `"type"` envelope, returning the type tag.
+impl Wire for f64 {
+    fn put(&self) -> Value {
+        Value::Num(*self)
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        v.as_f64().ok_or_else(|| expected("a number"))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        v.as_bool().ok_or_else(|| expected("a boolean"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self) -> Value {
+        Value::Arr(self.iter().map(Wire::put).collect())
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        v.as_arr().ok_or_else(|| expected("an array"))?.iter().map(T::take).collect()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self) -> Value {
+        (**self).put()
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        T::take(v).map(Box::new)
+    }
+}
+
+/// A `(node, partition)`-style pair, written as a two-element array.
+impl Wire for (u32, u32) {
+    fn put(&self) -> Value {
+        Value::Arr(vec![self.0.put(), self.1.put()])
+    }
+    fn take(v: &Value) -> Result<Self, ServiceError> {
+        match Vec::<u32>::take(v)?[..] {
+            [a, b] => Ok((a, b)),
+            _ => Err(expected("a two-element [a, b] integer pair")),
+        }
+    }
+}
+
+fn in_field<T>(key: &str, taken: Result<T, ServiceError>) -> Result<T, ServiceError> {
+    taken.map_err(|e| ServiceError::protocol(format!("field {key:?}: {}", e.message)))
+}
+
+/// A field that must be present.
+fn take_req<T: Wire>(v: &Value, key: &str) -> Result<T, ServiceError> {
+    let value =
+        v.get(key).ok_or_else(|| ServiceError::protocol(format!("missing field {key:?}")))?;
+    in_field(key, T::take(value))
+}
+
+/// A field that may be absent; `null` counts as absent.
+fn take_opt<T: Wire>(v: &Value, key: &str) -> Result<Option<T>, ServiceError> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(value) => in_field(key, T::take(value)).map(Some),
+    }
+}
+
+/// Writes one table field onto `$out`; `$f` names both the wire key and
+/// the binding that holds a reference to the value.
+macro_rules! put_field {
+    ($out:ident, $f:ident, opt) => {
+        if let Some(x) = $f {
+            $out.push((stringify!($f).to_owned(), x.put()));
+        }
+    };
+    ($out:ident, $f:ident, null) => {
+        $out.push((stringify!($f).to_owned(), $f.as_ref().map_or(Value::Null, Wire::put)))
+    };
+    ($out:ident, $f:ident, nonempty) => {
+        if !$f.is_empty() {
+            $out.push((stringify!($f).to_owned(), $f.put()));
+        }
+    };
+    ($out:ident, $f:ident, flat) => {
+        if let Value::Obj(fields) = $f.put() {
+            $out.extend(fields);
+        }
+    };
+    ($out:ident, $f:ident, custom($put:ident, $take:ident)) => {
+        $put($f, &mut $out)
+    };
+    ($out:ident, $f:ident, req) => {
+        $out.push((stringify!($f).to_owned(), $f.put()))
+    };
+    ($out:ident, $f:ident, def) => {
+        put_field!($out, $f, req)
+    };
+    ($out:ident, $f:ident, or($x:expr)) => {
+        put_field!($out, $f, req)
+    };
+}
+
+/// Reads one table field out of the object `$v`.
+macro_rules! take_field {
+    ($v:ident, $f:ident, req) => {
+        take_req($v, stringify!($f))?
+    };
+    ($v:ident, $f:ident, opt) => {
+        take_opt($v, stringify!($f))?
+    };
+    ($v:ident, $f:ident, null) => {
+        take_field!($v, $f, opt)
+    };
+    ($v:ident, $f:ident, def) => {
+        take_opt($v, stringify!($f))?.unwrap_or_else(|| Self::default().$f)
+    };
+    ($v:ident, $f:ident, or($x:expr)) => {
+        take_opt($v, stringify!($f))?.unwrap_or($x)
+    };
+    ($v:ident, $f:ident, nonempty) => {
+        take_opt($v, stringify!($f))?.unwrap_or_default()
+    };
+    ($v:ident, $f:ident, flat) => {
+        Wire::take($v)?
+    };
+    ($v:ident, $f:ident, custom($put:ident, $take:ident)) => {
+        $take($v)?
+    };
+}
+
+/// Unit enums carried as string tags. `Tag::tag` is the wire spelling.
+macro_rules! wire_tags {
+    ($($T:ident { $($V:ident = $tag:literal),* $(,)? })*) => {$(
+        impl Tag for $T {
+            fn tag(self) -> &'static str {
+                match self {
+                    $($T::$V => $tag,)*
+                }
+            }
+        }
+
+        impl Wire for $T {
+            fn put(&self) -> Value {
+                Value::Str(self.tag().to_owned())
+            }
+            fn take(v: &Value) -> Result<Self, ServiceError> {
+                match v.as_str() {
+                    $(Some($tag) => Ok($T::$V),)*
+                    _ => Err(expected(concat!("one of" $(, " ", stringify!($tag))*))),
+                }
+            }
+        }
+    )*};
+}
+
+trait Tag {
+    fn tag(self) -> &'static str;
+}
+
+/// Structs carried as one JSON object, fields in table order.
+macro_rules! wire_struct {
+    ($($S:ident { $($f:ident: $mode:ident $(($($arg:tt)*))?),* $(,)? })*) => {$(
+        impl Wire for $S {
+            // Optional fields make the pushes conditional.
+            #[allow(clippy::vec_init_then_push)]
+            fn put(&self) -> Value {
+                let Self { $($f),* } = self;
+                let mut out = Fields::new();
+                $(put_field!(out, $f, $mode $(($($arg)*))?);)*
+                Value::Obj(out)
+            }
+            fn take(v: &Value) -> Result<Self, ServiceError> {
+                if !matches!(v, Value::Obj(_)) {
+                    return Err(expected("an object"));
+                }
+                Ok(Self { $($f: take_field!(v, $f, $mode $(($($arg)*))?)),* })
+            }
+        }
+    )*};
+}
+
+/// A message enum: `Variant = "type" { field: mode, .. }` per row, both
+/// directions generated. Variants left out of the table go through the
+/// enum's hand-written `encode_other` / `decode_other`.
+macro_rules! wire_enum {
+    ($E:ident {
+        $($V:ident = $tag:literal $({ $($f:ident: $mode:ident $(($($arg:tt)*))?),* $(,)? })?,)*
+    }) => {
+        impl $E {
+            /// The `"v"`/`"type"` envelope followed by this message's fields.
+            fn encode_fields(&self) -> Fields {
+                #[allow(clippy::cast_precision_loss)]
+                let mut out = vec![
+                    ("v".to_owned(), Value::Num(PROTOCOL_VERSION as f64)),
+                    ("type".to_owned(), Value::Null),
+                ];
+                // The tag is known once the variant is matched.
+                let tag = match self {
+                    $($E::$V $({ $($f),* })? => {
+                        $($(put_field!(out, $f, $mode $(($($arg)*))?);)*)?
+                        $tag
+                    })*
+                    other => other.encode_other(&mut out),
+                };
+                out[1].1 = Value::Str(tag.to_owned());
+                out
+            }
+
+            fn decode_fields(v: &Value, tag: &str) -> Result<Self, ServiceError> {
+                match tag {
+                    $($tag => Ok($E::$V $({ $($f: take_field!(v, $f, $mode $(($($arg)*))?)),* })?),)*
+                    other => Self::decode_other(v, other),
+                }
+            }
+        }
+    };
+}
+
+wire_tags! {
+    ErrorKind {
+        Protocol = "protocol",
+        UnknownSession = "unknown_session",
+        SessionExists = "session_exists",
+        Spec = "spec",
+        Engine = "engine",
+        Internal = "internal",
+        Standby = "standby",
+        Fenced = "fenced",
+    }
+    Heuristic { Enumeration = "E", Iterative = "I" }
+    Completion {
+        Complete = "complete",
+        TruncatedDeadline = "truncated_deadline",
+        TruncatedTrials = "truncated_trials",
+        DegradedToIterative = "degraded_to_iterative",
+    }
+    MoveKind { Gain = "gain", Kick = "kick" }
+}
+
+wire_struct! {
+    OpenParams {
+        spec: req,
+        partitions: def,
+        chips: opt,
+        package_pins: def,
+        performance_ns: def,
+        delay_ns: def,
+        multi_cycle: def,
+    }
+    BudgetEnvelope { deadline_ms: opt, max_trials: opt }
+    ExploreParams { heuristic: def, budget: custom(put_budget, take_budget), jobs: opt }
+    OptimizeParams {
+        seed: def,
+        heuristic: def,
+        budget: custom(put_budget, take_budget),
+        kicks: opt,
+        kick_moves: opt,
+        jobs: opt,
+        pinned: nonempty,
+        groups: nonempty,
+        exclusions: nonempty,
+    }
+    RunSummary {
+        heuristic: req,
+        digest: req,
+        trials: req,
+        feasible_trials: req,
+        feasible: req,
+        completion: req,
+        degraded: req,
+        elapsed_ms: req,
+        predictor_calls: req,
+        cache_hits: req,
+        cache_misses: req,
+        subtrees_skipped: req,
+        combinations_skipped: req,
+    }
+    MoveSummary { nodes: req, from: req, to: req, pass: req, kind: req }
+    OptimizeSummary {
+        digest: req,
+        feasible: req,
+        initial_score: req,
+        final_score: req,
+        evaluations: req,
+        passes: req,
+        kicks: req,
+        completion: req,
+        moves: req,
+        run: req,
+    }
+    CacheStats { hits: req, misses: req, evictions: req, entries: req, bytes: req }
+    ServiceError { kind: req, message: req, primary: opt, epoch: opt }
+}
+
+/// The one `custom` rule. The budget is written as a nested `"budget"`
+/// object, omitted when no bound is set; without that object it decodes
+/// from the legacy flat spelling, top-level `deadline_ms` / `max_trials`
+/// (`DESIGN.md` §14).
+fn put_budget(budget: &BudgetEnvelope, out: &mut Fields) {
+    if !budget.is_empty() {
+        out.push(("budget".to_owned(), budget.put()));
+    }
+}
+
+fn take_budget(v: &Value) -> Result<BudgetEnvelope, ServiceError> {
+    match v.get("budget") {
+        None | Some(Value::Null) => BudgetEnvelope::take(v),
+        Some(nested) => in_field("budget", BudgetEnvelope::take(nested)),
+    }
+}
+
+wire_enum! {
+    Request {
+        Ping = "ping",
+        Open = "open" { session: req, params: flat },
+        Explore = "explore" { session: req, params: flat },
+        Repartition = "repartition" { session: req, node: req, to: req },
+        Optimize = "optimize" { session: req, params: flat },
+        ApplyMoves = "apply_moves" { session: req, moves: req },
+        SetConstraints = "set_constraints" { session: req, performance_ns: req, delay_ns: req },
+        Stats = "stats" { session: opt },
+        Close = "close" { session: req },
+        Shutdown = "shutdown",
+        // Pre-epoch senders omit `epoch` and `primary`.
+        ReplApply = "repl_apply" { seq: req, record: req, epoch: or(0), primary: opt },
+        ReplSnapshot = "repl_snapshot" { seq: req, records: req, epoch: or(0), primary: opt },
+        Promote = "promote",
+        AddPair = "add_pair" { pair: req },
+        RemovePair = "remove_pair" { pair: req },
+        RouterStatus = "router_status",
+        Export = "export" { session: req },
+        Import = "import" { records: req },
+    }
+}
+
+wire_enum! {
+    Response {
+        Opened = "opened" { session: req, partitions: req },
+        Explored = "explored" { session: req, run: req },
+        Repartitioned = "repartitioned" { session: req, node: req, to: req },
+        Optimized = "optimized" { session: req, result: req },
+        MovesApplied = "moves_applied" { session: req, moves: req },
+        ConstraintsSet = "constraints_set" { session: req, performance_ns: req, delay_ns: req },
+        // Servers that predate the sharded cache tier omit `shard_entries`.
+        Stats = "stats" {
+            sessions: req,
+            cache: req,
+            shard_entries: or(Vec::new()),
+            last_run: null,
+        },
+        Closed = "closed" { session: req },
+        ShuttingDown = "shutting_down",
+        ReplAck = "repl_ack" { seq: req },
+        // Pre-epoch servers omit `epoch`; servers that predate the backoff
+        // hint omit `retry_after_ms`.
+        Promoted = "promoted" { sessions: req, epoch: or(0) },
+        Busy = "busy" { inflight: req, max_inflight: req, retry_after_ms: or(0) },
+        PairAdded = "pair_added" { pairs: req },
+        PairRemoved = "pair_removed" { pairs: req },
+        RouterStatus = "router_status" { pairs: req },
+        Exported = "exported" { session: req, records: req },
+        Imported = "imported" { session: req, records: req },
+    }
+}
+
+/// Parses a line and checks its `"v"` envelope, returning the type tag.
 fn open_envelope(line: &str) -> Result<(Value, String), ServiceError> {
     let v = json::parse(line).map_err(|e| ServiceError::protocol(e.to_string()))?;
-    let version = u64_field(&v, "v")?;
+    let version: u64 = take_req(&v, "v")?;
     if version != PROTOCOL_VERSION {
         return Err(ServiceError::protocol(format!(
             "protocol version {version} not supported (this server speaks {PROTOCOL_VERSION})"
         )));
     }
-    let kind = str_field(&v, "type")?;
-    Ok((v, kind))
+    let tag = take_req(&v, "type")?;
+    Ok((v, tag))
 }
 
 impl Request {
@@ -936,209 +1154,13 @@ impl Request {
     }
 
     /// Encodes this request with an optional `req_id` envelope field.
-    ///
-    /// # Panics
-    ///
-    /// Never — the encoder always produces an object envelope.
     #[must_use]
     pub fn encode_tagged(&self, req_id: Option<&str>) -> String {
-        let mut value = self.encode_value();
+        let mut fields = self.encode_fields();
         if let Some(id) = req_id {
-            let Value::Obj(pairs) = &mut value else {
-                unreachable!("request envelopes are always objects")
-            };
-            pairs.push(("req_id".to_owned(), Value::Str(id.to_owned())));
+            fields.push(("req_id".to_owned(), Value::Str(id.to_owned())));
         }
-        value.to_string()
-    }
-
-    fn encode_value(&self) -> Value {
-        #[allow(clippy::cast_precision_loss)]
-        let value = match self {
-            Request::Ping => envelope("ping", vec![]),
-            Request::Open { session, params } => {
-                let mut rest = vec![
-                    ("session", Value::Str(session.clone())),
-                    ("spec", Value::Str(params.spec.clone())),
-                    ("partitions", Value::Num(f64::from(params.partitions))),
-                ];
-                if let Some(chips) = params.chips {
-                    rest.push(("chips", Value::Num(f64::from(chips))));
-                }
-                rest.push(("package_pins", Value::Num(f64::from(params.package_pins))));
-                rest.push(("performance_ns", Value::Num(params.performance_ns)));
-                rest.push(("delay_ns", Value::Num(params.delay_ns)));
-                rest.push(("multi_cycle", Value::Bool(params.multi_cycle)));
-                envelope("open", rest)
-            }
-            Request::Explore { session, params } => {
-                let mut rest = vec![
-                    ("session", Value::Str(session.clone())),
-                    ("heuristic", Value::Str(heuristic_wire(params.heuristic).into())),
-                ];
-                push_budget(&mut rest, &params.budget);
-                push_opt_u64(&mut rest, "jobs", params.jobs.map(u64::from));
-                envelope("explore", rest)
-            }
-            Request::Repartition { session, node, to } => envelope(
-                "repartition",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("node", Value::Num(f64::from(*node))),
-                    ("to", Value::Num(f64::from(*to))),
-                ],
-            ),
-            Request::Optimize { session, params } => {
-                let mut rest = vec![
-                    ("session", Value::Str(session.clone())),
-                    ("seed", Value::Num(params.seed as f64)),
-                    ("heuristic", Value::Str(heuristic_wire(params.heuristic).into())),
-                ];
-                push_budget(&mut rest, &params.budget);
-                push_opt_u64(&mut rest, "kicks", params.kicks.map(u64::from));
-                push_opt_u64(&mut rest, "kick_moves", params.kick_moves.map(u64::from));
-                push_opt_u64(&mut rest, "jobs", params.jobs.map(u64::from));
-                if !params.pinned.is_empty() {
-                    rest.push((
-                        "pinned",
-                        Value::Arr(
-                            params.pinned.iter().map(|&n| Value::Num(f64::from(n))).collect(),
-                        ),
-                    ));
-                }
-                if !params.groups.is_empty() {
-                    rest.push((
-                        "groups",
-                        Value::Arr(
-                            params
-                                .groups
-                                .iter()
-                                .map(|g| {
-                                    Value::Arr(
-                                        g.iter().map(|&n| Value::Num(f64::from(n))).collect(),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                if !params.exclusions.is_empty() {
-                    rest.push((
-                        "exclusions",
-                        Value::Arr(
-                            params
-                                .exclusions
-                                .iter()
-                                .map(|&(a, b)| {
-                                    Value::Arr(vec![
-                                        Value::Num(f64::from(a)),
-                                        Value::Num(f64::from(b)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                envelope("optimize", rest)
-            }
-            Request::ApplyMoves { session, moves } => envelope(
-                "apply_moves",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    (
-                        "moves",
-                        Value::Arr(
-                            moves
-                                .iter()
-                                .map(|&(node, to)| {
-                                    Value::Arr(vec![
-                                        Value::Num(f64::from(node)),
-                                        Value::Num(f64::from(to)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ],
-            ),
-            Request::SetConstraints { session, performance_ns, delay_ns } => envelope(
-                "set_constraints",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("performance_ns", Value::Num(*performance_ns)),
-                    ("delay_ns", Value::Num(*delay_ns)),
-                ],
-            ),
-            Request::Stats { session } => {
-                let mut rest = vec![];
-                if let Some(s) = session {
-                    rest.push(("session", Value::Str(s.clone())));
-                }
-                envelope("stats", rest)
-            }
-            Request::Close { session } => {
-                envelope("close", vec![("session", Value::Str(session.clone()))])
-            }
-            Request::Shutdown => envelope("shutdown", vec![]),
-            Request::ReplApply { seq, record, epoch, primary } => {
-                let mut rest = vec![
-                    ("seq", Value::Num(*seq as f64)),
-                    ("record", Value::Str(record.clone())),
-                    ("epoch", Value::Num(*epoch as f64)),
-                ];
-                if let Some(addr) = primary {
-                    rest.push(("primary", Value::Str(addr.clone())));
-                }
-                envelope("repl_apply", rest)
-            }
-            Request::ReplSnapshot { seq, records, epoch, primary } => {
-                let mut rest = vec![
-                    ("seq", Value::Num(*seq as f64)),
-                    (
-                        "records",
-                        Value::Arr(records.iter().map(|r| Value::Str(r.clone())).collect()),
-                    ),
-                    ("epoch", Value::Num(*epoch as f64)),
-                ];
-                if let Some(addr) = primary {
-                    rest.push(("primary", Value::Str(addr.clone())));
-                }
-                envelope("repl_snapshot", rest)
-            }
-            Request::Promote => envelope("promote", vec![]),
-            Request::RoleChange { epoch, primary, fenced } => {
-                let role = match (primary, fenced) {
-                    (true, _) => "primary",
-                    (false, true) => "fenced",
-                    (false, false) => "standby",
-                };
-                envelope(
-                    "role_change",
-                    vec![
-                        ("epoch", Value::Num(*epoch as f64)),
-                        ("role", Value::Str(role.into())),
-                    ],
-                )
-            }
-            Request::AddPair { pair } => {
-                envelope("add_pair", vec![("pair", Value::Str(pair.clone()))])
-            }
-            Request::RemovePair { pair } => {
-                envelope("remove_pair", vec![("pair", Value::Str(pair.clone()))])
-            }
-            Request::RouterStatus => envelope("router_status", vec![]),
-            Request::Export { session } => {
-                envelope("export", vec![("session", Value::Str(session.clone()))])
-            }
-            Request::Import { records } => envelope(
-                "import",
-                vec![(
-                    "records",
-                    Value::Arr(records.iter().map(|r| Value::Str(r.clone())).collect()),
-                )],
-            ),
-        };
-        value
+        Value::Obj(fields).to_string()
     }
 
     /// Decodes one request line.
@@ -1158,8 +1180,8 @@ impl Request {
     /// Everything [`decode`](Request::decode) rejects, plus an empty or
     /// over-long (> [`MAX_REQ_ID_LEN`]) `req_id`.
     pub fn decode_tagged(line: &str) -> Result<(Self, Option<String>), ServiceError> {
-        let (v, kind) = open_envelope(line)?;
-        let req_id = opt_field(&v, "req_id", str_field)?;
+        let (v, tag) = open_envelope(line)?;
+        let req_id: Option<String> = take_opt(&v, "req_id")?;
         if let Some(id) = &req_id {
             if id.is_empty() || id.len() > MAX_REQ_ID_LEN {
                 return Err(ServiceError::protocol(format!(
@@ -1167,453 +1189,44 @@ impl Request {
                 )));
             }
         }
-        Ok((Self::decode_body(&v, &kind)?, req_id))
+        Ok((Self::decode_fields(&v, &tag)?, req_id))
     }
 
-    fn decode_body(v: &Value, kind: &str) -> Result<Self, ServiceError> {
-        match kind {
-            "ping" => Ok(Request::Ping),
-            "open" => {
-                let defaults = OpenParams::default();
-                #[allow(clippy::cast_possible_truncation)]
-                let params = OpenParams {
-                    spec: str_field(v, "spec")?,
-                    partitions: opt_field(v, "partitions", u32_field)?
-                        .unwrap_or(defaults.partitions),
-                    chips: opt_field(v, "chips", u32_field)?,
-                    package_pins: opt_field(v, "package_pins", u32_field)?
-                        .unwrap_or(defaults.package_pins),
-                    performance_ns: opt_field(v, "performance_ns", f64_field)?
-                        .unwrap_or(defaults.performance_ns),
-                    delay_ns: opt_field(v, "delay_ns", f64_field)?.unwrap_or(defaults.delay_ns),
-                    multi_cycle: opt_field(v, "multi_cycle", bool_field)?
-                        .unwrap_or(defaults.multi_cycle),
-                };
-                Ok(Request::Open { session: str_field(v, "session")?, params })
-            }
-            "explore" => {
-                let heuristic = match opt_field(v, "heuristic", str_field)? {
-                    None => Heuristic::Iterative,
-                    Some(tag) => heuristic_from_wire(&tag).ok_or_else(|| {
-                        ServiceError::protocol(format!("unknown heuristic {tag:?}"))
-                    })?,
-                };
-                let params = ExploreParams {
-                    heuristic,
-                    budget: budget_from_value(v)?,
-                    jobs: opt_field(v, "jobs", u32_field)?,
-                };
-                Ok(Request::Explore { session: str_field(v, "session")?, params })
-            }
-            "repartition" => Ok(Request::Repartition {
-                session: str_field(v, "session")?,
-                node: u32_field(v, "node")?,
-                to: u32_field(v, "to")?,
-            }),
-            "optimize" => {
-                let heuristic = match opt_field(v, "heuristic", str_field)? {
-                    None => Heuristic::Iterative,
-                    Some(tag) => heuristic_from_wire(&tag).ok_or_else(|| {
-                        ServiceError::protocol(format!("unknown heuristic {tag:?}"))
-                    })?,
-                };
-                let params = OptimizeParams {
-                    seed: opt_field(v, "seed", u64_field)?.unwrap_or(0),
-                    budget: budget_from_value(v)?,
-                    heuristic,
-                    kicks: opt_field(v, "kicks", u32_field)?,
-                    kick_moves: opt_field(v, "kick_moves", u32_field)?,
-                    jobs: opt_field(v, "jobs", u32_field)?,
-                    pinned: u32_array(v, "pinned")?.unwrap_or_default(),
-                    groups: match v.get("groups") {
-                        None | Some(Value::Null) => Vec::new(),
-                        Some(groups) => groups
-                            .as_arr()
-                            .ok_or_else(|| {
-                                ServiceError::protocol("field \"groups\" must be an array")
-                            })?
-                            .iter()
-                            .map(u32_items)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    },
-                    exclusions: match v.get("exclusions") {
-                        None | Some(Value::Null) => Vec::new(),
-                        Some(pairs) => pairs
-                            .as_arr()
-                            .ok_or_else(|| {
-                                ServiceError::protocol("field \"exclusions\" must be an array")
-                            })?
-                            .iter()
-                            .map(u32_pair)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    },
-                };
-                Ok(Request::Optimize { session: str_field(v, "session")?, params })
-            }
-            "apply_moves" => {
-                let moves = field(v, "moves")?
-                    .as_arr()
-                    .ok_or_else(|| ServiceError::protocol("field \"moves\" must be an array"))?
-                    .iter()
-                    .map(u32_pair)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::ApplyMoves { session: str_field(v, "session")?, moves })
-            }
-            "set_constraints" => Ok(Request::SetConstraints {
-                session: str_field(v, "session")?,
-                performance_ns: f64_field(v, "performance_ns")?,
-                delay_ns: f64_field(v, "delay_ns")?,
-            }),
-            "stats" => Ok(Request::Stats { session: opt_field(v, "session", str_field)? }),
-            "close" => Ok(Request::Close { session: str_field(v, "session")? }),
-            "shutdown" => Ok(Request::Shutdown),
-            "repl_apply" => Ok(Request::ReplApply {
-                seq: u64_field(v, "seq")?,
-                record: str_field(v, "record")?,
-                // Pre-epoch senders omit both fields.
-                epoch: opt_field(v, "epoch", u64_field)?.unwrap_or(0),
-                primary: opt_field(v, "primary", str_field)?,
-            }),
-            "repl_snapshot" => {
-                let records = field(v, "records")?
-                    .as_arr()
-                    .ok_or_else(|| {
-                        ServiceError::protocol("field \"records\" must be an array")
-                    })?
-                    .iter()
-                    .map(|r| {
-                        r.as_str().map(str::to_owned).ok_or_else(|| {
-                            ServiceError::protocol("snapshot records must be strings")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::ReplSnapshot {
-                    seq: u64_field(v, "seq")?,
-                    records,
-                    epoch: opt_field(v, "epoch", u64_field)?.unwrap_or(0),
-                    primary: opt_field(v, "primary", str_field)?,
-                })
-            }
-            "promote" => Ok(Request::Promote),
-            "role_change" => {
-                let role = str_field(v, "role")?;
-                let (primary, fenced) = match role.as_str() {
-                    "primary" => (true, false),
-                    "standby" => (false, false),
-                    "fenced" => (false, true),
-                    other => {
-                        return Err(ServiceError::protocol(format!("unknown role {other:?}")))
-                    }
-                };
-                Ok(Request::RoleChange { epoch: u64_field(v, "epoch")?, primary, fenced })
-            }
-            "add_pair" => Ok(Request::AddPair { pair: str_field(v, "pair")? }),
-            "remove_pair" => Ok(Request::RemovePair { pair: str_field(v, "pair")? }),
-            "router_status" => Ok(Request::RouterStatus),
-            "export" => Ok(Request::Export { session: str_field(v, "session")? }),
-            "import" => {
-                let records = field(v, "records")?
-                    .as_arr()
-                    .ok_or_else(|| {
-                        ServiceError::protocol("field \"records\" must be an array")
-                    })?
-                    .iter()
-                    .map(|r| {
-                        r.as_str().map(str::to_owned).ok_or_else(|| {
-                            ServiceError::protocol("import records must be strings")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::Import { records })
-            }
-            other => Err(ServiceError::protocol(format!("unknown request type {other:?}"))),
+    /// `role_change` spells its two flags as one `role` tag.
+    fn encode_other(&self, out: &mut Fields) -> &'static str {
+        let Request::RoleChange { epoch, primary, fenced } = self else {
+            unreachable!("every other request is in the wire table")
+        };
+        let role = match (primary, fenced) {
+            (true, _) => "primary",
+            (false, true) => "fenced",
+            (false, false) => "standby",
+        };
+        put_field!(out, epoch, req);
+        out.push(("role".to_owned(), Value::Str(role.to_owned())));
+        "role_change"
+    }
+
+    fn decode_other(v: &Value, tag: &str) -> Result<Self, ServiceError> {
+        if tag != "role_change" {
+            return Err(ServiceError::protocol(format!("unknown request type {tag:?}")));
         }
+        let role: String = take_req(v, "role")?;
+        let (primary, fenced) = match role.as_str() {
+            "primary" => (true, false),
+            "standby" => (false, false),
+            "fenced" => (false, true),
+            other => return Err(ServiceError::protocol(format!("unknown role {other:?}"))),
+        };
+        Ok(Request::RoleChange { epoch: take_req(v, "epoch")?, primary, fenced })
     }
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn run_to_value(run: &RunSummary) -> Value {
-    obj(vec![
-        ("heuristic", Value::Str(heuristic_wire(run.heuristic).into())),
-        ("digest", Value::Str(run.digest.clone())),
-        ("trials", Value::Num(run.trials as f64)),
-        ("feasible_trials", Value::Num(run.feasible_trials as f64)),
-        ("feasible", Value::Num(run.feasible as f64)),
-        ("completion", Value::Str(completion_wire(run.completion).into())),
-        ("degraded", Value::Bool(run.degraded)),
-        ("elapsed_ms", Value::Num(run.elapsed_ms)),
-        ("predictor_calls", Value::Num(run.predictor_calls as f64)),
-        ("cache_hits", Value::Num(run.cache_hits as f64)),
-        ("cache_misses", Value::Num(run.cache_misses as f64)),
-        ("subtrees_skipped", Value::Num(run.subtrees_skipped as f64)),
-        ("combinations_skipped", Value::Num(run.combinations_skipped as f64)),
-    ])
-}
-
-fn run_from_value(v: &Value) -> Result<RunSummary, ServiceError> {
-    let tag = str_field(v, "heuristic")?;
-    let heuristic = heuristic_from_wire(&tag)
-        .ok_or_else(|| ServiceError::protocol(format!("unknown heuristic {tag:?}")))?;
-    let tag = str_field(v, "completion")?;
-    let completion = completion_from_wire(&tag)
-        .ok_or_else(|| ServiceError::protocol(format!("unknown completion {tag:?}")))?;
-    Ok(RunSummary {
-        heuristic,
-        digest: str_field(v, "digest")?,
-        trials: u64_field(v, "trials")?,
-        feasible_trials: u64_field(v, "feasible_trials")?,
-        feasible: u64_field(v, "feasible")?,
-        completion,
-        degraded: bool_field(v, "degraded")?,
-        elapsed_ms: f64_field(v, "elapsed_ms")?,
-        predictor_calls: u64_field(v, "predictor_calls")?,
-        cache_hits: u64_field(v, "cache_hits")?,
-        cache_misses: u64_field(v, "cache_misses")?,
-        subtrees_skipped: u64_field(v, "subtrees_skipped")?,
-        combinations_skipped: u64_field(v, "combinations_skipped")?,
-    })
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn optimize_to_value(result: &OptimizeSummary) -> Value {
-    let moves = result
-        .moves
-        .iter()
-        .map(|m| {
-            obj(vec![
-                (
-                    "nodes",
-                    Value::Arr(m.nodes.iter().map(|&n| Value::Num(f64::from(n))).collect()),
-                ),
-                ("from", Value::Num(f64::from(m.from))),
-                ("to", Value::Num(f64::from(m.to))),
-                ("pass", Value::Num(f64::from(m.pass))),
-                ("kind", Value::Str(move_kind_wire(m.kind).into())),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("digest", Value::Str(result.digest.clone())),
-        ("feasible", Value::Bool(result.feasible)),
-        ("initial_score", Value::Num(result.initial_score)),
-        ("final_score", Value::Num(result.final_score)),
-        ("evaluations", Value::Num(result.evaluations as f64)),
-        ("passes", Value::Num(f64::from(result.passes))),
-        ("kicks", Value::Num(f64::from(result.kicks))),
-        ("completion", Value::Str(completion_wire(result.completion).into())),
-        ("moves", Value::Arr(moves)),
-        ("run", run_to_value(&result.run)),
-    ])
-}
-
-fn optimize_from_value(v: &Value) -> Result<OptimizeSummary, ServiceError> {
-    let tag = str_field(v, "completion")?;
-    let completion = completion_from_wire(&tag)
-        .ok_or_else(|| ServiceError::protocol(format!("unknown completion {tag:?}")))?;
-    let moves = field(v, "moves")?
-        .as_arr()
-        .ok_or_else(|| ServiceError::protocol("field \"moves\" must be an array"))?
-        .iter()
-        .map(|m| {
-            let tag = str_field(m, "kind")?;
-            let kind = move_kind_from_wire(&tag)
-                .ok_or_else(|| ServiceError::protocol(format!("unknown move kind {tag:?}")))?;
-            Ok(MoveSummary {
-                nodes: u32_array(m, "nodes")?.ok_or_else(|| {
-                    ServiceError::protocol("move records need a \"nodes\" array")
-                })?,
-                from: u32_field(m, "from")?,
-                to: u32_field(m, "to")?,
-                pass: u32_field(m, "pass")?,
-                kind,
-            })
-        })
-        .collect::<Result<Vec<_>, ServiceError>>()?;
-    Ok(OptimizeSummary {
-        digest: str_field(v, "digest")?,
-        feasible: bool_field(v, "feasible")?,
-        initial_score: f64_field(v, "initial_score")?,
-        final_score: f64_field(v, "final_score")?,
-        evaluations: u64_field(v, "evaluations")?,
-        passes: u32_field(v, "passes")?,
-        kicks: u32_field(v, "kicks")?,
-        completion,
-        moves,
-        run: run_from_value(field(v, "run")?)?,
-    })
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn cache_to_value(c: &CacheStats) -> Value {
-    obj(vec![
-        ("hits", Value::Num(c.hits as f64)),
-        ("misses", Value::Num(c.misses as f64)),
-        ("evictions", Value::Num(c.evictions as f64)),
-        ("entries", Value::Num(c.entries as f64)),
-        ("bytes", Value::Num(c.bytes as f64)),
-    ])
-}
-
-fn cache_from_value(v: &Value) -> Result<CacheStats, ServiceError> {
-    Ok(CacheStats {
-        hits: u64_field(v, "hits")?,
-        misses: u64_field(v, "misses")?,
-        evictions: u64_field(v, "evictions")?,
-        entries: u64_field(v, "entries")?,
-        bytes: u64_field(v, "bytes")?,
-    })
 }
 
 impl Response {
     /// Encodes this response as one line of JSON (no trailing newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        #[allow(clippy::cast_precision_loss)]
-        let value = match self {
-            Response::Pong { version, role, epoch, peer } => {
-                let mut rest = vec![("version", Value::Num(*version as f64))];
-                if let Some(role) = role {
-                    rest.push(("role", Value::Str(role.clone())));
-                    rest.push(("epoch", Value::Num(*epoch as f64)));
-                }
-                if let Some(peer) = peer {
-                    rest.push(("peer", Value::Str(peer.clone())));
-                }
-                envelope("pong", rest)
-            }
-            Response::Opened { session, partitions } => envelope(
-                "opened",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("partitions", Value::Num(*partitions as f64)),
-                ],
-            ),
-            Response::Explored { session, run } => envelope(
-                "explored",
-                vec![("session", Value::Str(session.clone())), ("run", run_to_value(run))],
-            ),
-            Response::Repartitioned { session, node, to } => envelope(
-                "repartitioned",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("node", Value::Num(f64::from(*node))),
-                    ("to", Value::Num(f64::from(*to))),
-                ],
-            ),
-            Response::Optimized { session, result } => envelope(
-                "optimized",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("result", optimize_to_value(result)),
-                ],
-            ),
-            Response::MovesApplied { session, moves } => envelope(
-                "moves_applied",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("moves", Value::Num(*moves as f64)),
-                ],
-            ),
-            Response::ConstraintsSet { session, performance_ns, delay_ns } => envelope(
-                "constraints_set",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("performance_ns", Value::Num(*performance_ns)),
-                    ("delay_ns", Value::Num(*delay_ns)),
-                ],
-            ),
-            Response::Stats { sessions, cache, shard_entries, last_run } => envelope(
-                "stats",
-                vec![
-                    (
-                        "sessions",
-                        Value::Arr(sessions.iter().map(|s| Value::Str(s.clone())).collect()),
-                    ),
-                    ("cache", cache_to_value(cache)),
-                    (
-                        "shard_entries",
-                        Value::Arr(
-                            shard_entries.iter().map(|&n| Value::Num(n as f64)).collect(),
-                        ),
-                    ),
-                    ("last_run", last_run.as_ref().map_or(Value::Null, run_to_value)),
-                ],
-            ),
-            Response::Closed { session } => {
-                envelope("closed", vec![("session", Value::Str(session.clone()))])
-            }
-            Response::ShuttingDown => envelope("shutting_down", vec![]),
-            Response::ReplAck { seq } => {
-                envelope("repl_ack", vec![("seq", Value::Num(*seq as f64))])
-            }
-            Response::Promoted { sessions, epoch } => envelope(
-                "promoted",
-                vec![
-                    ("sessions", Value::Num(*sessions as f64)),
-                    ("epoch", Value::Num(*epoch as f64)),
-                ],
-            ),
-            Response::Busy { inflight, max_inflight, retry_after_ms } => envelope(
-                "busy",
-                vec![
-                    ("inflight", Value::Num(*inflight as f64)),
-                    ("max_inflight", Value::Num(*max_inflight as f64)),
-                    ("retry_after_ms", Value::Num(*retry_after_ms as f64)),
-                ],
-            ),
-            Response::PairAdded { pairs } => envelope(
-                "pair_added",
-                vec![(
-                    "pairs",
-                    Value::Arr(pairs.iter().map(|p| Value::Str(p.clone())).collect()),
-                )],
-            ),
-            Response::PairRemoved { pairs } => envelope(
-                "pair_removed",
-                vec![(
-                    "pairs",
-                    Value::Arr(pairs.iter().map(|p| Value::Str(p.clone())).collect()),
-                )],
-            ),
-            Response::RouterStatus { pairs } => envelope(
-                "router_status",
-                vec![(
-                    "pairs",
-                    Value::Arr(pairs.iter().map(|p| Value::Str(p.clone())).collect()),
-                )],
-            ),
-            Response::Exported { session, records } => envelope(
-                "exported",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    (
-                        "records",
-                        Value::Arr(records.iter().map(|r| Value::Str(r.clone())).collect()),
-                    ),
-                ],
-            ),
-            Response::Imported { session, records } => envelope(
-                "imported",
-                vec![
-                    ("session", Value::Str(session.clone())),
-                    ("records", Value::Num(*records as f64)),
-                ],
-            ),
-            Response::Error(e) => {
-                let mut rest = vec![
-                    ("kind", Value::Str(e.kind.wire().into())),
-                    ("message", Value::Str(e.message.clone())),
-                ];
-                if let Some(primary) = &e.primary {
-                    rest.push(("primary", Value::Str(primary.clone())));
-                }
-                if let Some(epoch) = e.epoch {
-                    rest.push(("epoch", Value::Num(epoch as f64)));
-                }
-                envelope("error", rest)
-            }
-        };
-        value.to_string()
+        Value::Obj(self.encode_fields()).to_string()
     }
 
     /// Decodes one response line.
@@ -1623,117 +1236,41 @@ impl Response {
     /// Returns an [`ErrorKind::Protocol`] error for malformed JSON, a
     /// version mismatch, an unknown type tag or mistyped fields.
     pub fn decode(line: &str) -> Result<Self, ServiceError> {
-        let (v, kind) = open_envelope(line)?;
-        match kind.as_str() {
+        let (v, tag) = open_envelope(line)?;
+        Self::decode_fields(&v, &tag)
+    }
+
+    /// `pong` writes `epoch` only next to `role` (routers and pre-epoch
+    /// servers send neither), and `error` carries a bare [`ServiceError`]
+    /// with its fields inline.
+    fn encode_other(&self, out: &mut Fields) -> &'static str {
+        match self {
+            Response::Pong { version, role, epoch, peer } => {
+                put_field!(out, version, req);
+                if let Some(role) = role {
+                    put_field!(out, role, req);
+                    put_field!(out, epoch, req);
+                }
+                put_field!(out, peer, opt);
+                "pong"
+            }
+            Response::Error(error) => {
+                put_field!(out, error, flat);
+                "error"
+            }
+            _ => unreachable!("every other response is in the wire table"),
+        }
+    }
+
+    fn decode_other(v: &Value, tag: &str) -> Result<Self, ServiceError> {
+        match tag {
             "pong" => Ok(Response::Pong {
-                version: u64_field(&v, "version")?,
-                // Routers and pre-epoch servers omit the role fields.
-                role: opt_field(&v, "role", str_field)?,
-                epoch: opt_field(&v, "epoch", u64_field)?.unwrap_or(0),
-                peer: opt_field(&v, "peer", str_field)?,
+                version: take_req(v, "version")?,
+                role: take_opt(v, "role")?,
+                epoch: take_opt(v, "epoch")?.unwrap_or(0),
+                peer: take_opt(v, "peer")?,
             }),
-            "opened" => Ok(Response::Opened {
-                session: str_field(&v, "session")?,
-                partitions: u64_field(&v, "partitions")?,
-            }),
-            "explored" => Ok(Response::Explored {
-                session: str_field(&v, "session")?,
-                run: run_from_value(field(&v, "run")?)?,
-            }),
-            "repartitioned" => Ok(Response::Repartitioned {
-                session: str_field(&v, "session")?,
-                node: u32_field(&v, "node")?,
-                to: u32_field(&v, "to")?,
-            }),
-            "optimized" => Ok(Response::Optimized {
-                session: str_field(&v, "session")?,
-                result: Box::new(optimize_from_value(field(&v, "result")?)?),
-            }),
-            "moves_applied" => Ok(Response::MovesApplied {
-                session: str_field(&v, "session")?,
-                moves: u64_field(&v, "moves")?,
-            }),
-            "constraints_set" => Ok(Response::ConstraintsSet {
-                session: str_field(&v, "session")?,
-                performance_ns: f64_field(&v, "performance_ns")?,
-                delay_ns: f64_field(&v, "delay_ns")?,
-            }),
-            "stats" => {
-                let sessions = field(&v, "sessions")?
-                    .as_arr()
-                    .ok_or_else(|| {
-                        ServiceError::protocol("field \"sessions\" must be an array")
-                    })?
-                    .iter()
-                    .map(|s| {
-                        s.as_str().map(str::to_owned).ok_or_else(|| {
-                            ServiceError::protocol("session names must be strings")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let last_run = match v.get("last_run") {
-                    None | Some(Value::Null) => None,
-                    Some(run) => Some(run_from_value(run)?),
-                };
-                // Tolerant decode: servers that predate the sharded cache
-                // tier omit the field entirely.
-                let shard_entries = match v.get("shard_entries") {
-                    None | Some(Value::Null) => Vec::new(),
-                    Some(arr) => arr
-                        .as_arr()
-                        .ok_or_else(|| {
-                            ServiceError::protocol("field \"shard_entries\" must be an array")
-                        })?
-                        .iter()
-                        .map(|n| {
-                            n.as_f64().map(|f| f as u64).ok_or_else(|| {
-                                ServiceError::protocol("shard entries must be numbers")
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                Ok(Response::Stats {
-                    sessions,
-                    cache: cache_from_value(field(&v, "cache")?)?,
-                    shard_entries,
-                    last_run,
-                })
-            }
-            "closed" => Ok(Response::Closed { session: str_field(&v, "session")? }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "repl_ack" => Ok(Response::ReplAck { seq: u64_field(&v, "seq")? }),
-            "promoted" => Ok(Response::Promoted {
-                sessions: u64_field(&v, "sessions")?,
-                // Pre-epoch servers omit the field.
-                epoch: opt_field(&v, "epoch", u64_field)?.unwrap_or(0),
-            }),
-            "busy" => Ok(Response::Busy {
-                inflight: u64_field(&v, "inflight")?,
-                max_inflight: u64_field(&v, "max_inflight")?,
-                // Servers that predate the hint omit the field.
-                retry_after_ms: opt_field(&v, "retry_after_ms", u64_field)?.unwrap_or(0),
-            }),
-            "pair_added" => Ok(Response::PairAdded { pairs: str_array(&v, "pairs")? }),
-            "pair_removed" => Ok(Response::PairRemoved { pairs: str_array(&v, "pairs")? }),
-            "router_status" => Ok(Response::RouterStatus { pairs: str_array(&v, "pairs")? }),
-            "exported" => Ok(Response::Exported {
-                session: str_field(&v, "session")?,
-                records: str_array(&v, "records")?,
-            }),
-            "imported" => Ok(Response::Imported {
-                session: str_field(&v, "session")?,
-                records: u64_field(&v, "records")?,
-            }),
-            "error" => {
-                let tag = str_field(&v, "kind")?;
-                let kind = ErrorKind::from_wire(&tag).ok_or_else(|| {
-                    ServiceError::protocol(format!("unknown error kind {tag:?}"))
-                })?;
-                let mut error = ServiceError::new(kind, str_field(&v, "message")?);
-                error.primary = opt_field(&v, "primary", str_field)?;
-                error.epoch = opt_field(&v, "epoch", u64_field)?;
-                Ok(Response::Error(error))
-            }
+            "error" => ServiceError::take(v).map(Response::Error),
             other => Err(ServiceError::protocol(format!("unknown response type {other:?}"))),
         }
     }
@@ -1993,6 +1530,15 @@ mod tests {
             r#"{"v":1,"type":"repartition","session":"s","node":-1,"to":0}"#,
         ] {
             let err = Request::decode(bad).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Protocol, "{bad}");
+        }
+        // Shard occupancies are integers like every other u64 field: a
+        // negative or fractional entry is rejected, not truncated.
+        for entry in ["-1", "1.5"] {
+            let bad = format!(
+                r#"{{"v":1,"type":"stats","sessions":[],"cache":{{"hits":0,"misses":0,"evictions":0,"entries":0,"bytes":0}},"shard_entries":[{entry}],"last_run":null}}"#
+            );
+            let err = Response::decode(&bad).unwrap_err();
             assert_eq!(err.kind, ErrorKind::Protocol, "{bad}");
         }
     }
