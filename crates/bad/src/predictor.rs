@@ -131,6 +131,15 @@ impl Predictor {
     /// job ([`crate::prune`]), so the caller can also observe the whole
     /// design space (paper Figures 7/8).
     ///
+    /// A candidate's schedule, initiation interval and live register bits
+    /// depend only on its per-class cycle counts (the *duration vector*),
+    /// its allocation and its style — not on which modules supply those
+    /// cycle counts. So each distinct duration vector is scheduled once per
+    /// call, when the first module set yielding it comes up, and every
+    /// module set sharing it reuses those points (under single-cycle timing
+    /// every usable set shares the all-ones vector). Designs are emitted in
+    /// module set, then allocation, then style order.
+    ///
     /// # Errors
     ///
     /// Returns [`PredictError::Library`] if the library lacks a register, a
@@ -142,12 +151,21 @@ impl Predictor {
         let hist = dfg.op_histogram();
         let classes = hist.classes();
         self.library.check_supports(classes.iter().copied())?;
+        let memory_bandwidth = memory_bandwidth(dfg);
 
         if classes.is_empty() {
-            return Ok(vec![self.trivial_design(dfg)]);
+            return Ok(vec![self.trivial_design(memory_bandwidth)]);
         }
 
         let peak = peak_parallelism(dfg, &classes);
+        let allocations = allocation_sweep(
+            &classes,
+            &hist,
+            &peak,
+            self.params.max_units_per_class,
+            self.params.allocation_sweep,
+        );
+        let mut points_by_durations = BTreeMap::new();
         let mut designs = Vec::new();
         let mut any_set_usable = false;
 
@@ -156,70 +174,81 @@ impl Predictor {
                 continue; // module set unusable for this style
             };
             any_set_usable = true;
-            let specs = NodeSpec::from_fn(
-                dfg,
-                |id| match dfg.node(id).op() {
-                    op if op.is_memory_access() => 1,
-                    op => op.class().map_or(0, |c| durations[&c]),
-                },
-                |id| dfg.node(id).op().class(),
-            );
-            for allocation in allocation_sweep(
-                &classes,
-                &hist,
-                &peak,
-                self.params.max_units_per_class,
-                self.params.allocation_sweep,
-            ) {
-                let schedule = list_schedule(dfg, &specs, &allocation)?;
-                let stages = schedule.makespan().max(1);
-                for style in self.style.styles() {
-                    let (ii_dp, latency_dp) = match style {
-                        DesignStyle::NonPipelined => (stages, stages),
-                        DesignStyle::Pipelined => {
-                            let ii =
-                                min_initiation_interval(dfg, &specs, &schedule, &allocation);
-                            if ii >= stages {
-                                // Degenerates to the non-pipelined design.
-                                continue;
-                            }
-                            (ii, stages)
-                        }
-                    };
-                    // Hardwired constants and externally buffered primary
-                    // inputs don't occupy datapath registers; the input
-                    // buffering lives in CHOP's data-transfer modules.
-                    let keep = |e: &chop_dfg::Edge| {
-                        !matches!(
-                            dfg.node(e.src()).op(),
-                            chop_dfg::Operation::Const | chop_dfg::Operation::Input
-                        )
-                    };
-                    let register_bits = match style {
-                        DesignStyle::Pipelined => {
-                            max_live_bits_pipelined_where(dfg, &schedule, ii_dp, keep)
-                        }
-                        DesignStyle::NonPipelined => max_live_bits_where(dfg, &schedule, keep),
-                    };
-                    designs.push(self.assemble(
-                        dfg,
-                        &module_set,
-                        &allocation,
-                        &hist,
-                        &durations,
-                        style,
-                        stages,
-                        ii_dp,
-                        latency_dp,
-                        register_bits,
-                    ));
-                }
+            if !points_by_durations.contains_key(&durations) {
+                let points = self.schedule_points(dfg, &durations, &allocations)?;
+                points_by_durations.insert(durations.clone(), points);
+            }
+            for point in &points_by_durations[&durations] {
+                designs.push(self.assemble(
+                    &module_set,
+                    &allocations[point.allocation],
+                    &hist,
+                    &durations,
+                    point,
+                    memory_bandwidth.clone(),
+                ));
             }
         }
         if !any_set_usable {
             return Err(PredictError::NoUsableModuleSet);
         }
         Ok(designs)
+    }
+
+    /// Schedules every allocation × allowed style under one duration
+    /// vector, in allocation then style order.
+    fn schedule_points(
+        &self,
+        dfg: &Dfg,
+        durations: &BTreeMap<OpClass, u64>,
+        allocations: &[ResourceMap],
+    ) -> Result<Vec<ScheduledPoint>, ScheduleError> {
+        let specs = NodeSpec::from_fn(
+            dfg,
+            |id| match dfg.node(id).op() {
+                op if op.is_memory_access() => 1,
+                op => op.class().map_or(0, |c| durations[&c]),
+            },
+            |id| dfg.node(id).op().class(),
+        );
+        // Hardwired constants and externally buffered primary inputs don't
+        // occupy datapath registers; the input buffering lives in CHOP's
+        // data-transfer modules.
+        let keep = |e: &chop_dfg::Edge| {
+            !matches!(
+                dfg.node(e.src()).op(),
+                chop_dfg::Operation::Const | chop_dfg::Operation::Input
+            )
+        };
+        let styles = self.style.styles();
+        let mut points = Vec::with_capacity(allocations.len() * styles.len());
+        for (index, allocation) in allocations.iter().enumerate() {
+            let schedule = list_schedule(dfg, &specs, allocation)?;
+            let stages = schedule.makespan().max(1);
+            for &style in &styles {
+                let (ii_dp, register_bits) = match style {
+                    DesignStyle::NonPipelined => {
+                        (stages, max_live_bits_where(dfg, &schedule, keep))
+                    }
+                    DesignStyle::Pipelined => {
+                        let ii = min_initiation_interval(dfg, &specs, &schedule, allocation);
+                        if ii >= stages {
+                            // Degenerates to the non-pipelined design.
+                            continue;
+                        }
+                        (ii, max_live_bits_pipelined_where(dfg, &schedule, ii, keep))
+                    }
+                };
+                points.push(ScheduledPoint {
+                    allocation: index,
+                    style,
+                    stages,
+                    ii_dp,
+                    register_bits,
+                });
+            }
+        }
+        Ok(points)
     }
 
     /// Duration (datapath cycles) of each class under a module set, or
@@ -247,20 +276,16 @@ impl Predictor {
     }
 
     /// Full area/overhead model for one scheduled candidate.
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
-        dfg: &Dfg,
         module_set: &ModuleSet,
         allocation: &ResourceMap,
         hist: &chop_dfg::OpHistogram,
         durations: &BTreeMap<OpClass, u64>,
-        style: DesignStyle,
-        stages: u64,
-        ii_dp: u64,
-        latency_dp: u64,
-        register_bits: Bits,
+        point: &ScheduledPoint,
+        memory_bandwidth: BTreeMap<u32, u64>,
     ) -> PredictedDesign {
+        let &ScheduledPoint { style, stages, ii_dp, register_bits, .. } = point;
         let word = Bits::new(16);
         let register = self.library.register().expect("checked by check_supports");
         let mux = self.library.multiplexer().expect("checked by check_supports");
@@ -335,21 +360,12 @@ impl Predictor {
             self.params.area_spread_above,
         );
 
-        // Memory bandwidth: accesses per initiation per block.
-        let mut memory_bandwidth = BTreeMap::new();
-        for (id, node) in dfg.nodes() {
-            let _ = id;
-            if let Some(m) = node.op().memory() {
-                *memory_bandwidth.entry(m.index()).or_insert(0) += 1;
-            }
-        }
-
         PredictedDesign::new(
             style,
             module_set.clone(),
             allocation.clone(),
             self.clocks.datapath_to_main(ii_dp),
-            self.clocks.datapath_to_main(latency_dp),
+            self.clocks.datapath_to_main(stages),
             area,
             clock_overhead,
             power,
@@ -360,13 +376,7 @@ impl Predictor {
 
     /// A zero-datapath design for partitions with no functional-unit
     /// operations (pure routing / memory staging).
-    fn trivial_design(&self, dfg: &Dfg) -> PredictedDesign {
-        let mut memory_bandwidth = BTreeMap::new();
-        for (_, node) in dfg.nodes() {
-            if let Some(m) = node.op().memory() {
-                *memory_bandwidth.entry(m.index()).or_insert(0) += 1;
-            }
-        }
+    fn trivial_design(&self, memory_bandwidth: BTreeMap<u32, u64>) -> PredictedDesign {
         let controller = PlaSpec::for_fsm(1, 1, 1);
         let area = controller.area(&self.params).value();
         PredictedDesign::new(
@@ -386,6 +396,30 @@ impl Predictor {
             memory_bandwidth,
         )
     }
+}
+
+/// Everything about a candidate that depends only on its duration vector,
+/// allocation and style — shared by every module set with that vector.
+struct ScheduledPoint {
+    /// Index into the call's allocation sweep.
+    allocation: usize,
+    style: DesignStyle,
+    /// Schedule length in datapath cycles — also the latency.
+    stages: u64,
+    ii_dp: u64,
+    register_bits: Bits,
+}
+
+/// Memory accesses per initiation, per block — the same for every design
+/// of a partition.
+fn memory_bandwidth(dfg: &Dfg) -> BTreeMap<u32, u64> {
+    let mut bandwidth = BTreeMap::new();
+    for (_, node) in dfg.nodes() {
+        if let Some(m) = node.op().memory() {
+            *bandwidth.entry(m.index()).or_insert(0) += 1;
+        }
+    }
+    bandwidth
 }
 
 /// Peak concurrency per class under unit-delay ASAP — a sound cap on how

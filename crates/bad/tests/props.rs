@@ -1,9 +1,15 @@
 //! Property-based tests of the BAD predictor over random workloads.
 
+use std::collections::BTreeMap;
+
 use chop_bad::prune::{pareto_filter, prune};
-use chop_bad::{ArchitectureStyle, ClockConfig, PartitionEnvelope, Predictor, PredictorParams};
+use chop_bad::{
+    ArchitectureStyle, ClockConfig, DesignStyle, PartitionEnvelope, Predictor, PredictorParams,
+};
 use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
+use chop_dfg::OpClass;
 use chop_library::standard::table1_library;
+use chop_library::ModuleSet;
 use chop_stat::units::{Nanos, SquareMils};
 use proptest::prelude::*;
 
@@ -59,6 +65,51 @@ proptest! {
         let a = p.predict(&dfg).unwrap();
         let b = p.predict(&dfg).unwrap();
         prop_assert_eq!(a, b);
+    }
+
+    // The invariant behind scheduling each duration vector once per call:
+    // module sets whose modules take the same cycles per class get the
+    // same schedule points, allocation by allocation.
+    #[test]
+    fn designs_sharing_a_duration_vector_share_their_schedules(
+        (seed, params) in arb_workload(),
+        multi_cycle in any::<bool>(),
+    ) {
+        let dfg = random_layered(seed, params);
+        let (p, clocks) = predictor(multi_cycle);
+        let designs = p.predict(&dfg).unwrap();
+        type Point = (DesignStyle, u64, u64, u64, u64);
+        type Key = (Vec<u64>, Vec<(OpClass, usize)>);
+        // (duration vector, allocation) -> the points of each module set,
+        // in emission order.
+        let mut groups: BTreeMap<Key, Vec<(&ModuleSet, Vec<Point>)>> = BTreeMap::new();
+        for d in &designs {
+            let allocation: Vec<(OpClass, usize)> = d.allocation().iter().collect();
+            let durations = allocation
+                .iter()
+                .map(|&(class, _)| {
+                    let module = d.module_set().module_for(p.library(), class).unwrap();
+                    if multi_cycle { clocks.datapath_cycles_for(module.delay()) } else { 1 }
+                })
+                .collect();
+            let point = (
+                d.style(),
+                d.detail().stages,
+                d.initiation_interval().value(),
+                d.latency().value(),
+                d.detail().register_bits.value(),
+            );
+            let sets = groups.entry((durations, allocation)).or_default();
+            match sets.last_mut() {
+                Some((set, points)) if *set == d.module_set() => points.push(point),
+                _ => sets.push((d.module_set(), vec![point])),
+            }
+        }
+        for sets in groups.values() {
+            for (_, points) in &sets[1..] {
+                prop_assert_eq!(points, &sets[0].1);
+            }
+        }
     }
 
     #[test]
