@@ -495,7 +495,7 @@ impl Session {
     /// valid partition, or the move would empty the node's partition.
     pub fn repartition(&self, node: NodeId, to: PartitionId) -> Result<Self, GroupingError> {
         let mut next = self.clone();
-        next.partitioning = self.partitioning.clone().with_node_moved(node, to)?;
+        next.partitioning = self.partitioning.with_node_moved(node, to)?;
         Ok(next)
     }
 

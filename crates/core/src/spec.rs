@@ -1,6 +1,7 @@
 //! The tentative partitioning: partitions, chip assignments and memories.
 
 use std::fmt;
+use std::sync::Arc;
 
 use chop_dfg::grouping::{extract_group, Grouping, GroupingError};
 use chop_dfg::{Dfg, NodeId};
@@ -130,10 +131,12 @@ impl std::error::Error for SpecError {}
 /// chips with partitions — exactly the flexibility of the paper's Fig. 2
 /// example.
 ///
-/// Construct through [`PartitioningBuilder`].
+/// Construct through [`PartitioningBuilder`]. The DFG is shared: every
+/// partitioning derived from this one (a node move, a chip swap) and
+/// every session holding one point at the same graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Partitioning {
-    dfg: Dfg,
+    dfg: Arc<Dfg>,
     grouping: Grouping,
     chips: ChipSet,
     partition_chip: Vec<ChipId>,
@@ -286,13 +289,28 @@ impl Partitioning {
                     groups: moved.group_count(),
                 });
             }
-            moved = moved.with_node_moved(node, to.index());
+            moved.move_node(node, to.index());
         }
-        if let Some(empty) = (0..moved.group_count()).find(|&g| moved.members(g).is_empty()) {
+        if let Some(empty) = moved.group_sizes().iter().position(|&n| n == 0) {
             return Err(GroupingError::EmptyGroup(empty));
         }
         moved.check_no_mutual_dependency(&self.dfg)?;
-        Ok(Self { grouping: moved, ..self.clone() })
+        Ok(self.with_grouping_unchecked(moved))
+    }
+
+    /// A copy on another grouping of the same DFG, sharing the DFG. The
+    /// caller guarantees the grouping is valid for it: no empty group and
+    /// no mutual data dependency (see [`Partitioning::with_nodes_moved`]).
+    pub(crate) fn with_grouping_unchecked(&self, grouping: Grouping) -> Self {
+        debug_assert_eq!(grouping.group_count(), self.partition_count());
+        Self {
+            dfg: Arc::clone(&self.dfg),
+            grouping,
+            chips: self.chips.clone(),
+            partition_chip: self.partition_chip.clone(),
+            memories: self.memories.clone(),
+            memory_assignment: self.memory_assignment.clone(),
+        }
     }
 
     /// Returns a copy with a partition migrated to another chip
@@ -558,7 +576,7 @@ impl PartitioningBuilder {
             }
         }
         Ok(Partitioning {
-            dfg: self.dfg,
+            dfg: Arc::new(self.dfg),
             grouping,
             chips: self.chips,
             partition_chip,

@@ -187,9 +187,11 @@ pub fn profile(dfg: &Dfg) -> DfgProfile {
 
 /// Whether any node in `a` reaches any node in `b` through the data flow.
 ///
-/// CHOP uses this in both directions to detect *mutual* data dependency
-/// between two partitions, which its independent-prediction model does not
-/// support (paper §2.3).
+/// Two partitions that reach each other this way are *mutually* data
+/// dependent, which CHOP's independent-prediction model does not support
+/// (paper §2.3). This is the pairwise definition;
+/// [`Grouping::check_no_mutual_dependency`](crate::grouping::Grouping::check_no_mutual_dependency)
+/// decides it for every pair of groups in one pass.
 #[must_use]
 pub fn group_reaches(dfg: &Dfg, a: &[NodeId], b: &[NodeId]) -> bool {
     let mut target = vec![false; dfg.len()];

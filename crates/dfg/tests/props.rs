@@ -5,10 +5,11 @@ use std::collections::HashMap;
 use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
 use chop_dfg::eval::{evaluate, Memory};
 use chop_dfg::grouping::{
-    cut_values, extract_group, extract_group_detailed, GroupOrigin, Grouping,
+    cut_values, extract_group, extract_group_detailed, GroupOrigin, Grouping, GroupingError,
 };
 use chop_dfg::parse::{parse_dfg, to_text};
-use chop_dfg::{analysis, NodeId, OpClass, Operation};
+use chop_dfg::{analysis, Dfg, DfgBuilder, NodeId, OpClass, Operation};
+use chop_stat::units::Bits;
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = (u64, RandomDfgParams)> {
@@ -19,8 +20,123 @@ fn arb_params() -> impl Strategy<Value = (u64, RandomDfgParams)> {
     )
 }
 
+/// SplitMix64, for drawing a whole graph and grouping from one seed.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    }
+}
+
+/// An arbitrary DAG on `n` nodes (edges only from lower to higher ids,
+/// each present with probability `density`/100) and a grouping of it into
+/// `k` non-empty groups. `mode` 0 assigns groups at random; mode 1 slices
+/// the topological order into `k` bands (never mutually dependent); mode 2
+/// slices and then moves a few nodes at random (sometimes dependent).
+fn arb_grouped_dag(
+    seed: u64,
+    n: usize,
+    k: usize,
+    density: usize,
+    mode: usize,
+) -> (Dfg, Grouping) {
+    let mut rng = SplitMix(seed);
+    let mut b = DfgBuilder::new();
+    let ids: Vec<NodeId> = (0..n).map(|_| b.node(Operation::Add, Bits::new(8))).collect();
+    for j in 1..n {
+        for i in 0..j {
+            if rng.below(100) < density {
+                b.connect(ids[i], ids[j]).expect("ids are valid");
+            }
+        }
+    }
+    let dfg = b.build().expect("edges run forward, so the graph is acyclic");
+    let k = k.clamp(1, n);
+    let mut assignment = vec![0; n];
+    for (pos, id) in dfg.topo_order().iter().enumerate() {
+        assignment[id.index()] = pos * k / n;
+    }
+    match mode {
+        0 => {
+            // Nodes 0..k seed every group; the rest land anywhere.
+            for (i, g) in assignment.iter_mut().enumerate() {
+                *g = if i < k { i } else { rng.below(k) };
+            }
+        }
+        1 => {}
+        _ => {
+            for _ in 0..3 {
+                let node = rng.below(n);
+                let group = rng.below(k);
+                let before = assignment[node];
+                assignment[node] = group;
+                if !assignment.contains(&before) {
+                    assignment[node] = before;
+                }
+            }
+        }
+    }
+    let grouping = Grouping::new(&dfg, k, assignment).expect("every group is seeded");
+    (dfg, grouping)
+}
+
+/// The pairwise definition: the first `(a, b)`, `a < b`, whose members
+/// reach each other's.
+fn pairwise_mutual_dependency(dfg: &Dfg, grouping: &Grouping) -> Result<(), GroupingError> {
+    let k = grouping.group_count();
+    let members: Vec<Vec<NodeId>> = (0..k).map(|g| grouping.members(g)).collect();
+    for a in 0..k {
+        for b in (a + 1)..k {
+            if analysis::group_reaches(dfg, &members[a], &members[b])
+                && analysis::group_reaches(dfg, &members[b], &members[a])
+            {
+                return Err(GroupingError::MutualDependency(a, b));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The generator reaches every outcome the property must compare,
+/// including mutually dependent groups past the first 64-bit word.
+#[test]
+fn grouped_dags_cover_multi_word_outcomes() {
+    let (mut ok_wide, mut err_wide) = (0, 0);
+    for seed in 0..48u64 {
+        let (dfg, grouping) = arb_grouped_dag(seed, 180, 130, 3, (seed % 3) as usize);
+        let result = grouping.check_no_mutual_dependency(&dfg);
+        assert_eq!(result, pairwise_mutual_dependency(&dfg, &grouping), "seed {seed}");
+        match result {
+            Ok(()) => ok_wide += 1,
+            Err(GroupingError::MutualDependency(_, b)) if b >= 64 => err_wide += 1,
+            Err(_) => {}
+        }
+    }
+    assert!(ok_wide > 0 && err_wide > 0, "ok {ok_wide}, wide errors {err_wide}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mutual_dependency_check_matches_the_pairwise_definition(
+        seed in any::<u64>(),
+        n in 1usize..200,
+        k in 1usize..160,
+        density in 0usize..12,
+        mode in 0usize..3,
+    ) {
+        let (dfg, grouping) = arb_grouped_dag(seed, n, k, density, mode);
+        prop_assert_eq!(
+            grouping.check_no_mutual_dependency(&dfg),
+            pairwise_mutual_dependency(&dfg, &grouping)
+        );
+    }
 
     #[test]
     fn random_graphs_validate((seed, params) in arb_params()) {
