@@ -76,7 +76,7 @@ fn sync(sender: &Node, receiver: &Node) {
         epoch: sender.m().epoch(),
         primary: Some(sender.addr.clone()),
     };
-    if let Response::Error(e) = receiver.m().dispatch(&request) {
+    if let Response::Error(e) = receiver.m().dispatch_tagged(&request, None) {
         sender.m().observe_fencing(&e);
     }
 }

@@ -9,7 +9,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use chop_service::journal::JOURNAL_FILE;
-use chop_service::{ExploreParams, OpenParams, SessionManager};
+use chop_service::{
+    ExploreParams, OpenParams, Request, Response, ServiceError, SessionManager,
+};
 use proptest::collection;
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
@@ -66,25 +68,44 @@ fn op() -> BoxedStrategy<Op> {
 }
 
 fn apply(mgr: &SessionManager, op: &Op) {
-    // Outcomes are intentionally ignored: failures must leave no trace
-    // in the journal, successes must leave exactly one record.
-    let _ = match op {
-        Op::Open { name, spec, partitions } => mgr.open(
-            NAMES[*name],
-            &OpenParams {
+    let request = match op {
+        Op::Open { name, spec, partitions } => Request::Open {
+            session: NAMES[*name].into(),
+            params: OpenParams {
                 spec: SPECS[*spec].into(),
                 partitions: *partitions,
                 ..OpenParams::default()
             },
-        ),
+        },
         Op::Repartition { name, node, to } => {
-            mgr.repartition(NAMES[*name], *node, *to).map(|()| 0)
+            Request::Repartition { session: NAMES[*name].into(), node: *node, to: *to }
         }
-        Op::SetConstraints { name, performance_ns, delay_ns } => {
-            mgr.set_constraints(NAMES[*name], *performance_ns, *delay_ns).map(|()| 0)
-        }
-        Op::Close { name } => mgr.close(NAMES[*name]).map(|()| 0),
+        Op::SetConstraints { name, performance_ns, delay_ns } => Request::SetConstraints {
+            session: NAMES[*name].into(),
+            performance_ns: *performance_ns,
+            delay_ns: *delay_ns,
+        },
+        Op::Close { name } => Request::Close { session: NAMES[*name].into() },
     };
+    // Outcomes are intentionally ignored: failures must leave no trace
+    // in the journal, successes must leave exactly one record.
+    let _ = mgr.dispatch_tagged(&request, None);
+}
+
+/// An `open` of `name` on `SPECS[spec]` with the default parameters.
+fn open(name: &str, spec: usize) -> Request {
+    Request::Open {
+        session: name.into(),
+        params: OpenParams { spec: SPECS[spec].into(), ..OpenParams::default() },
+    }
+}
+
+/// Dispatches `request` untagged, splitting an error response out.
+fn send(mgr: &SessionManager, request: &Request) -> Result<Response, ServiceError> {
+    match mgr.dispatch_tagged(request, None) {
+        Response::Error(e) => Err(e),
+        response => Ok(response),
+    }
 }
 
 /// Sorted session names and their explore digests.
@@ -135,10 +156,8 @@ fn torn_tail_record_recovers_the_prefix() {
     let dir = state_dir("torn");
     {
         let (mgr, _) = SessionManager::recover(1, &dir, 0).expect("journal");
-        mgr.open("kept", &OpenParams { spec: SPECS[0].into(), ..OpenParams::default() })
-            .expect("open kept");
-        mgr.open("torn", &OpenParams { spec: SPECS[1].into(), ..OpenParams::default() })
-            .expect("open torn");
+        send(&mgr, &open("kept", 0)).expect("open kept");
+        send(&mgr, &open("torn", 1)).expect("open torn");
     }
     let path = dir.join(JOURNAL_FILE);
     let raw = std::fs::read(&path).expect("read journal");
@@ -149,8 +168,7 @@ fn torn_tail_record_recovers_the_prefix() {
     assert_eq!(report.sessions_restored, 1);
     assert_eq!(mgr.stats(None).expect("stats").0, vec!["kept".to_owned()]);
     // The torn bytes were truncated away: the next lifecycle is clean.
-    mgr.open("fresh", &OpenParams { spec: SPECS[0].into(), ..OpenParams::default() })
-        .expect("open after recovery");
+    send(&mgr, &open("fresh", 0)).expect("open after recovery");
     drop(mgr);
     let (_, report) = SessionManager::recover(1, &dir, 0).expect("re-recover");
     assert_eq!(report.records_skipped, 0, "truncation must leave a clean boundary");
@@ -166,12 +184,9 @@ fn crc_corruption_recovers_records_before_the_damage() {
     let dir = state_dir("crc");
     {
         let (mgr, _) = SessionManager::recover(1, &dir, 0).expect("journal");
-        mgr.open("first", &OpenParams { spec: SPECS[0].into(), ..OpenParams::default() })
-            .expect("open first");
-        mgr.open("second", &OpenParams { spec: SPECS[1].into(), ..OpenParams::default() })
-            .expect("open second");
-        mgr.open("third", &OpenParams { spec: SPECS[0].into(), ..OpenParams::default() })
-            .expect("open third");
+        send(&mgr, &open("first", 0)).expect("open first");
+        send(&mgr, &open("second", 1)).expect("open second");
+        send(&mgr, &open("third", 0)).expect("open third");
     }
     let path = dir.join(JOURNAL_FILE);
     let mut raw = std::fs::read(&path).expect("read journal");
@@ -203,10 +218,9 @@ fn compaction_preserves_recovery_equivalence() {
         let (mgr, _) = SessionManager::recover(1, &dir, 2).expect("journal");
         for i in 0..4 {
             let name = format!("s{i}");
-            mgr.open(&name, &OpenParams { spec: SPECS[0].into(), ..OpenParams::default() })
-                .expect("open");
+            send(&mgr, &open(&name, 0)).expect("open");
             if i % 2 == 0 {
-                mgr.close(&name).expect("close");
+                send(&mgr, &Request::Close { session: name }).expect("close");
             }
         }
         fingerprint(&mgr)
@@ -224,14 +238,18 @@ fn failed_mutations_are_not_journaled() {
     let dir = state_dir("failures");
     {
         let (mgr, _) = SessionManager::recover(1, &dir, 0).expect("journal");
-        mgr.open("only", &OpenParams { spec: SPECS[0].into(), ..OpenParams::default() })
-            .expect("open");
+        send(&mgr, &open("only", 0)).expect("open");
         // A duplicate open, an unknown-session move, a bad constraint:
         // all refused, none journaled.
-        let _ =
-            mgr.open("only", &OpenParams { spec: SPECS[0].into(), ..OpenParams::default() });
-        let _ = mgr.repartition("ghost", 0, 0);
-        let _ = mgr.set_constraints("only", -1.0, 1.0);
+        send(&mgr, &open("only", 0)).expect_err("duplicate open");
+        send(&mgr, &Request::Repartition { session: "ghost".into(), node: 0, to: 0 })
+            .expect_err("unknown session");
+        let constrain = Request::SetConstraints {
+            session: "only".into(),
+            performance_ns: -1.0,
+            delay_ns: 1.0,
+        };
+        send(&mgr, &constrain).expect_err("bad constraint");
     }
     let (_, report) = SessionManager::recover(1, &dir, 0).expect("recover");
     assert_eq!(report.records_replayed, 1, "only the successful open is on disk");
