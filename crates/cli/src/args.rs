@@ -363,9 +363,6 @@ pub struct ServeOptions {
     /// Start as a warm standby: refuse direct mutations, accept the
     /// replication stream, wait to be promoted.
     pub standby: bool,
-    /// Ship every committed journal record to this standby (`host:port`).
-    /// Legacy one-way spelling of `--peer`.
-    pub replicate_to: Option<String>,
     /// Symmetric replication peer (`host:port`): ship to it while
     /// primary, accept its stream (and rejoin demoted after fencing)
     /// while standby. Combine with `--standby` to pick the initial role.
@@ -400,7 +397,6 @@ impl Default for ServeOptions {
             state_dir: None,
             snapshot_every: 1024,
             standby: false,
-            replicate_to: None,
             peer: None,
             max_connections: 4096,
             idle_timeout_ms: 600_000,
@@ -452,7 +448,6 @@ pub fn parse_serve_options(argv: &[String]) -> Result<ServeOptions, ArgError> {
                     .map_err(|_| ArgError(format!("bad value for {arg}")))?;
             }
             "--standby" => opts.standby = true,
-            "--replicate-to" => opts.replicate_to = Some(value(arg)?),
             "--peer" => opts.peer = Some(value(arg)?),
             "--max-connections" => {
                 let n: usize = value(arg)?
@@ -490,20 +485,6 @@ pub fn parse_serve_options(argv: &[String]) -> Result<ServeOptions, ArgError> {
             }
             other => return Err(ArgError(format!("unknown serve option {other}"))),
         }
-    }
-    if opts.standby && opts.replicate_to.is_some() {
-        return Err(ArgError(
-            "--standby and --replicate-to are mutually exclusive (a node is either \
-             the primary of its pair or its standby)"
-                .into(),
-        ));
-    }
-    if opts.peer.is_some() && opts.replicate_to.is_some() {
-        return Err(ArgError(
-            "--peer and --replicate-to are mutually exclusive (--peer is the \
-             symmetric replacement; --standby picks the initial role)"
-                .into(),
-        ));
     }
     Ok(opts)
 }
@@ -704,23 +685,19 @@ mod tests {
     }
 
     #[test]
-    fn serve_replication_flags_parse_and_exclude_each_other() {
-        let o = parse_serve_options(&s(&["--replicate-to", "127.0.0.1:1992"])).unwrap();
-        assert_eq!(o.replicate_to.as_deref(), Some("127.0.0.1:1992"));
-        assert!(!o.standby);
+    fn serve_replication_flags_parse() {
         let o = parse_serve_options(&s(&["--standby"])).unwrap();
         assert!(o.standby);
-        assert!(parse_serve_options(&s(&["--standby", "--replicate-to", "x:1"])).is_err());
-        assert!(parse_serve_options(&s(&["--replicate-to"])).is_err());
-        // --peer is the symmetric spelling: valid alone or with --standby
-        // (the initial role), never alongside the legacy one-way flag.
+        // --peer names the replication partner: valid alone (a primary
+        // shipping to it) or with --standby (the initial role).
         let o = parse_serve_options(&s(&["--peer", "127.0.0.1:1992"])).unwrap();
         assert_eq!(o.peer.as_deref(), Some("127.0.0.1:1992"));
         assert!(!o.standby);
         let o = parse_serve_options(&s(&["--peer", "127.0.0.1:1991", "--standby"])).unwrap();
         assert!(o.standby && o.peer.is_some());
-        assert!(parse_serve_options(&s(&["--peer", "x:1", "--replicate-to", "y:1"])).is_err());
         assert!(parse_serve_options(&s(&["--peer"])).is_err());
+        // The one-way alias is gone; --peer replaces it.
+        assert!(parse_serve_options(&s(&["--replicate-to", "127.0.0.1:1992"])).is_err());
     }
 
     #[test]

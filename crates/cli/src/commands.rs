@@ -92,9 +92,9 @@ OPTIONS (serve):
   --cache-snapshot-every <N>
                            also snapshot after every N cache insertions
                            (0 = only on graceful drain)    [256]
-  --replicate-to <host:port>
-                           ship every committed journal record to a warm
-                           standby (snapshot-first on connect)
+  --peer <host:port>       replication partner: ship every committed journal
+                           record to it while primary (snapshot-first on
+                           connect), accept its stream while standby
   --standby                start as a warm standby: apply the replication
                            stream, refuse direct mutations until promoted
   --max-connections <N>    concurrent connections before new ones are
@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn help_lists_replication_and_router() {
         assert!(HELP.contains("chop router"));
-        assert!(HELP.contains("--replicate-to"));
+        assert!(HELP.contains("--peer"));
         assert!(HELP.contains("--standby"));
         assert!(HELP.contains("--backend"));
         assert!(HELP.contains("--health-interval-ms"));

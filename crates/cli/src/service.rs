@@ -30,7 +30,6 @@ pub fn serve(opts: &ServeOptions) -> Result<RunStatus, Box<dyn Error>> {
         state_dir: opts.state_dir.as_ref().map(std::path::PathBuf::from),
         snapshot_every: opts.snapshot_every,
         standby: opts.standby,
-        replicate_to: opts.replicate_to.clone(),
         peer: opts.peer.clone(),
         max_connections: opts.max_connections,
         idle_timeout_ms: opts.idle_timeout_ms,
@@ -52,9 +51,6 @@ pub fn serve(opts: &ServeOptions) -> Result<RunStatus, Box<dyn Error>> {
         println!("fenced standby: a newer primary superseded this node; resyncing");
     } else if manager.is_standby() {
         println!("warm standby: refusing direct mutations until promoted");
-    }
-    if let Some(standby) = opts.replicate_to.as_deref() {
-        println!("replicating committed records to {standby}");
     }
     if let Some(peer) = opts.peer.as_deref() {
         println!("replication peer: {peer}");

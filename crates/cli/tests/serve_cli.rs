@@ -294,7 +294,7 @@ fn kill_nine_primary_router_promotes_standby_with_identical_digest() {
     let (mut standby, standby_addr, _standby_out) =
         spawn_server(&["--standby", "--state-dir", &standby_dir]);
     let (mut primary, primary_addr, _primary_out) =
-        spawn_server(&["--replicate-to", &standby_addr, "--state-dir", &primary_dir]);
+        spawn_server(&["--peer", &standby_addr, "--state-dir", &primary_dir]);
     let pair = format!("{primary_addr},{standby_addr}");
     let (mut router, router_addr, _router_out) = spawn_router(&[&pair]);
 

@@ -4,19 +4,23 @@
 //! The paper positions CHOP "as a system-level advisor — the designer can
 //! easily check the effects of system-level decisions in real-time" and
 //! names the automation of interleaved memory/behavior partitioning as
-//! future work (§2.2, §5). This module closes that loop for two axes:
+//! future work (§2.2, §5). This module covers the two axes the move-based
+//! optimizer ([`Session::optimize`]) does not touch:
 //!
 //! * [`best_memory_assignment`] — greedy sweep of every on-chip memory
 //!   block across the chip set,
-//! * [`improve_by_migration`] — greedy operation migration across
-//!   partition boundaries (a Kernighan–Lin-flavoured improvement loop
-//!   driven by CHOP's own feasibility analysis instead of cut size).
+//! * [`minimum_chip_count`] — the smallest chip count whose horizontal
+//!   partitioning is feasible (the optimizer moves operations between
+//!   partitions but never changes the chip count).
+//!
+//! Operation migration across partition boundaries is
+//! [`Session::optimize`].
 
 use chop_library::{ChipId, MemoryId, MemoryPlacement};
 
 use crate::error::ChopError;
 use crate::explorer::{Heuristic, SearchOutcome, Session};
-use crate::spec::{PartitionId, Partitioning};
+use crate::spec::Partitioning;
 
 /// A recommended partitioning with the outcome that justified it.
 #[derive(Debug)]
@@ -90,53 +94,6 @@ pub fn best_memory_assignment(
     Ok(Advice {
         partitioning: best_partitioning,
         outcome: best_outcome,
-        candidates_examined: examined,
-    })
-}
-
-/// Greedy operation migration: repeatedly tries moving boundary operations
-/// to the partition on the other side of the cut and keeps the best
-/// improving move, up to `max_moves` moves.
-///
-/// A node is a *boundary* node if one of its edges crosses partitions.
-/// Moves that would empty a partition or create mutual data dependency are
-/// skipped automatically.
-///
-/// # Errors
-///
-/// Propagates any [`ChopError`] from the underlying explorations.
-pub fn improve_by_migration(
-    session: &Session,
-    heuristic: Heuristic,
-    max_moves: usize,
-) -> Result<Advice, ChopError> {
-    let mut current = session.partitioning().clone();
-    let mut current_outcome = session.explore(heuristic)?;
-    let mut examined = 1usize;
-    for _ in 0..max_moves {
-        let mut best_move: Option<(Partitioning, SearchOutcome)> = None;
-        for (node, target) in boundary_moves(&current) {
-            let Ok(candidate) = current.with_node_moved(node, target) else { continue };
-            let outcome =
-                session.clone().try_with_partitioning(candidate.clone())?.explore(heuristic)?;
-            examined += 1;
-            let beats_incumbent = better(&outcome, &current_outcome);
-            let beats_best = best_move.as_ref().is_none_or(|(_, best)| better(&outcome, best));
-            if beats_incumbent && beats_best {
-                best_move = Some((candidate, outcome));
-            }
-        }
-        match best_move {
-            Some((p, o)) => {
-                current = p;
-                current_outcome = o;
-            }
-            None => break, // local optimum
-        }
-    }
-    Ok(Advice {
-        partitioning: current,
-        outcome: current_outcome,
         candidates_examined: examined,
     })
 }
@@ -217,29 +174,10 @@ pub fn minimum_chip_count(
     Ok((None, tried))
 }
 
-/// Candidate `(node, target partition)` moves: every node with a crossing
-/// edge, toward each neighbouring partition.
-fn boundary_moves(p: &Partitioning) -> Vec<(chop_dfg::NodeId, PartitionId)> {
-    let dfg = p.dfg();
-    let grouping = p.grouping();
-    let mut moves = Vec::new();
-    for (_, e) in dfg.edges() {
-        let sg = grouping.group_of(e.src());
-        let dg = grouping.group_of(e.dst());
-        if sg != dg {
-            moves.push((e.src(), PartitionId::new(dg as u32)));
-            moves.push((e.dst(), PartitionId::new(sg as u32)));
-        }
-    }
-    moves.sort_by_key(|(n, t)| (n.index(), t.index()));
-    moves.dedup();
-    moves
-}
-
 #[cfg(test)]
 mod tests {
     use chop_bad::{ArchitectureStyle, ClockConfig, PredictorParams};
-    use chop_dfg::{benchmarks, DfgBuilder, MemoryRef, Operation};
+    use chop_dfg::{DfgBuilder, MemoryRef, Operation};
     use chop_library::standard::{example_on_chip_ram, table1_library, table2_packages};
     use chop_library::ChipSet;
     use chop_stat::units::{Bits, Nanos};
@@ -301,27 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_never_worse_than_start() {
-        let chips = ChipSet::uniform(table2_packages()[1].clone(), 2);
-        let p = PartitioningBuilder::new(benchmarks::ar_lattice_filter(), chips)
-            .split_horizontal(2)
-            .build()
-            .unwrap();
-        let session = Session::new(
-            p,
-            table1_library(),
-            ClockConfig::new(Nanos::new(300.0), 10, 1).unwrap(),
-            ArchitectureStyle::single_cycle(),
-            PredictorParams::default(),
-            Constraints::new(Nanos::new(30_000.0), Nanos::new(30_000.0)),
-        );
-        let base = session.explore(Heuristic::Iterative).unwrap();
-        let advice = improve_by_migration(&session, Heuristic::Iterative, 3).unwrap();
-        assert!(score(&advice.outcome) <= score(&base));
-        assert!(advice.candidates_examined >= 1);
-    }
-
-    #[test]
     fn minimum_chip_count_matches_experiments() {
         use crate::experiments::{experiment2_session, Exp2Config};
         // Exp-2: feasible on one chip at 20 µs.
@@ -360,25 +277,5 @@ mod tests {
         let (best, tried) = minimum_chip_count(&s, Heuristic::Iterative, 2).unwrap();
         assert_eq!(best, None);
         assert_eq!(tried.len(), 2);
-    }
-
-    #[test]
-    fn boundary_moves_only_touch_cut_nodes() {
-        let chips = ChipSet::uniform(table2_packages()[1].clone(), 2);
-        let p = PartitioningBuilder::new(benchmarks::ar_lattice_filter(), chips)
-            .split_horizontal(2)
-            .build()
-            .unwrap();
-        for (node, target) in boundary_moves(&p) {
-            let own = p.grouping().group_of(node);
-            assert_ne!(own, target.index(), "move must change partition");
-            // The node really has a crossing edge.
-            let crossing = p
-                .dfg()
-                .succ_nodes(node)
-                .chain(p.dfg().pred_nodes(node))
-                .any(|n| p.grouping().group_of(n) != own);
-            assert!(crossing);
-        }
     }
 }

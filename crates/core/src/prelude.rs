@@ -61,7 +61,7 @@ pub use crate::spec::{
 pub use crate::testability::TestabilityOverhead;
 
 // Designer-facing modules, re-exported so `prelude::*` users can reach
-// `report::markdown`, `advise::improve_by_migration`, `tasks::create_tasks`,
+// `report::markdown`, `advise::best_memory_assignment`, `tasks::create_tasks`,
 // `transfer::pin_budgets`, `testability` presets, the `optimize` module
 // itself and the experiment presets without a second `chop_core::` import
 // path. The fault-injection module rides along under its feature flag.

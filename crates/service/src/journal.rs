@@ -1,8 +1,10 @@
 //! The write-ahead journal that makes sessions crash-safe.
 //!
-//! Every state-mutating request the [`SessionManager`](crate::manager::
-//! SessionManager) applies (`open`, `repartition`, `set_constraints`,
-//! `close`) is appended to one append-only file under `--state-dir`
+//! Every session mutation the
+//! [`SessionManager`](crate::manager::SessionManager) commits (`open`,
+//! `repartition`, `apply_moves`, `set_constraints`, `close`; an
+//! `optimize` is journaled as the `apply_moves` of its accepted move
+//! trace) is appended to one append-only file under `--state-dir`
 //! before the client is answered. The journal also records cluster
 //! **role transitions** as `role_change {epoch, role}` lines — written
 //! on every promotion and fencing demotion, and prepended to compaction

@@ -26,8 +26,8 @@
 //!   server.
 //! * **Graceful drain** — the `shutdown` request stops the accept loop,
 //!   lets in-flight work finish and exits cleanly.
-//! * **Warm-standby replication and failover** — `--replicate-to` ships
-//!   every committed journal record to a standby ([`replication`]), and
+//! * **Warm-standby replication and failover** — `--peer` ships every
+//!   committed journal record to a standby ([`replication`]), and
 //!   `chop router` ([`router`]) consistent-hashes sessions over backend
 //!   pairs, promoting the standby when a primary dies.
 //!

@@ -73,10 +73,6 @@ pub struct ServeConfig {
     /// Run as a warm standby: refuse direct mutations, accept state over
     /// the replication stream until promoted.
     pub standby: bool,
-    /// Ship every committed mutation to the standby at this `host:port`
-    /// address (the primary half of a replicated pair). Legacy one-way
-    /// spelling of [`peer`](Self::peer); `peer` wins when both are set.
-    pub replicate_to: Option<String>,
     /// The symmetric replication peer at this `host:port`: ship to it
     /// while primary, park (and accept its stream) while standby —
     /// combined with `standby` for the initial role, this is what makes
@@ -118,7 +114,6 @@ impl Default for ServeConfig {
             state_dir: None,
             snapshot_every: 1024,
             standby: false,
-            replicate_to: None,
             peer: None,
             max_connections: 4096,
             idle_timeout_ms: 600_000,
@@ -263,7 +258,6 @@ impl Server {
             .config
             .peer
             .as_ref()
-            .or(self.config.replicate_to.as_ref())
             .map(|addr| Replicator::start(Arc::clone(&self.manager), addr.clone()));
         let pool = Arc::new(WorkerPool::new(self.config.workers));
         let completions = Arc::new(Completions::new()?);
