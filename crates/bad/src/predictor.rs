@@ -7,7 +7,7 @@ use chop_dfg::{analysis, Dfg, OpClass};
 use chop_library::{Library, LibraryError, ModuleSet};
 use chop_sched::lifetime::{max_live_bits_pipelined_where, max_live_bits_where};
 use chop_sched::pipeline::min_initiation_interval;
-use chop_sched::{list_schedule, NodeSpec, ResourceMap, ScheduleError};
+use chop_sched::{ListPlan, NodeSpec, ResourceMap, ScheduleError};
 use chop_stat::units::Bits;
 use chop_stat::Estimate;
 
@@ -196,7 +196,8 @@ impl Predictor {
     }
 
     /// Schedules every allocation × allowed style under one duration
-    /// vector, in allocation then style order.
+    /// vector, in allocation then style order. The list-scheduling plan is
+    /// compiled once here and scheduled once per allocation.
     fn schedule_points(
         &self,
         dfg: &Dfg,
@@ -220,10 +221,11 @@ impl Predictor {
                 chop_dfg::Operation::Const | chop_dfg::Operation::Input
             )
         };
+        let plan = ListPlan::compile(dfg, &specs)?;
         let styles = self.style.styles();
         let mut points = Vec::with_capacity(allocations.len() * styles.len());
         for (index, allocation) in allocations.iter().enumerate() {
-            let schedule = list_schedule(dfg, &specs, allocation)?;
+            let schedule = plan.schedule(allocation)?;
             let stages = schedule.makespan().max(1);
             for &style in &styles {
                 let (ii_dp, register_bits) = match style {
@@ -422,9 +424,16 @@ fn memory_bandwidth(dfg: &Dfg) -> BTreeMap<u32, u64> {
     bandwidth
 }
 
-/// Peak concurrency per class under unit-delay ASAP — a sound cap on how
-/// many units of a class can ever be busy simultaneously with a
-/// dependence-respecting schedule at unit granularity.
+/// Peak operations per class on one unit-delay ASAP level — the sweep's
+/// cap on unit counts. It bounds what a schedule can use only where every
+/// operation takes one cycle and no class is short of units: then the
+/// list schedule is the ASAP one, which runs each level in one cycle. It
+/// is not a bound otherwise. Operations deferred for want of a unit of one
+/// class can bunch up in another, and under multi-cycle timing operations
+/// of different levels overlap even with unlimited units: a 3-cycle
+/// multiply at level 1 still runs when a multiply at level 2, fed by a
+/// 1-cycle add, starts, so two multipliers are busy although each level
+/// holds one multiply. Widening the cap changes BAD's design lists.
 fn peak_parallelism(dfg: &Dfg, classes: &[OpClass]) -> BTreeMap<OpClass, usize> {
     let levels = analysis::asap_levels(dfg);
     let mut per_level: BTreeMap<(OpClass, u32), usize> = BTreeMap::new();
@@ -595,6 +604,44 @@ mod tests {
         let designs = exp1_predictor().predict(&g).unwrap();
         assert_eq!(designs.len(), 1);
         assert_eq!(designs[0].detail().register_bits.value(), 0);
+    }
+
+    #[test]
+    fn peak_parallelism_is_no_bound_under_multi_cycle_timing() {
+        use chop_dfg::{DfgBuilder, Operation};
+        let w = Bits::new(16);
+        let mut b = DfgBuilder::new();
+        let x = b.node(Operation::Input, w);
+        let y = b.node(Operation::Input, w);
+        let first = b.node(Operation::Mul, w);
+        let add = b.node(Operation::Add, w);
+        let second = b.node(Operation::Mul, w);
+        for (src, dst) in
+            [(x, first), (y, first), (x, add), (y, add), (add, second), (y, second)]
+        {
+            b.connect(src, dst).unwrap();
+        }
+        for v in [first, second] {
+            let o = b.node(Operation::Output, w);
+            b.connect(v, o).unwrap();
+        }
+        let g = b.build().unwrap();
+        let classes = g.op_histogram().classes();
+        assert_eq!(peak_parallelism(&g, &classes)[&OpClass::Multiplication], 1);
+        // A 3-cycle multiply and a 1-cycle add: the multiplies overlap.
+        let specs = NodeSpec::from_fn(
+            &g,
+            |id| match g.node(id).op().class() {
+                Some(OpClass::Multiplication) => 3,
+                Some(_) => 1,
+                None => 0,
+            },
+            |id| g.node(id).op().class(),
+        );
+        let alloc: ResourceMap =
+            [(OpClass::Addition, 1), (OpClass::Multiplication, 2)].into_iter().collect();
+        let s = ListPlan::compile(&g, &specs).unwrap().schedule(&alloc).unwrap();
+        assert!(s.start(second) < s.finish(first), "both multipliers busy at once");
     }
 
     #[test]

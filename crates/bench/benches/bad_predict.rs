@@ -29,12 +29,27 @@ fn bench_predict(c: &mut Criterion) {
         },
     );
     let cases = [
-        ("ar_single_cycle", benchmarks::ar_lattice_filter(), single_cycle),
-        ("ar_multi_cycle", benchmarks::ar_lattice_filter(), multi_cycle),
-        ("ewf_multi_cycle", benchmarks::elliptic_wave_filter(), multi_cycle),
-        ("layered_single_cycle", layered, single_cycle),
+        ("ar_single_cycle".to_string(), benchmarks::ar_lattice_filter(), single_cycle),
+        ("ar_multi_cycle".to_string(), benchmarks::ar_lattice_filter(), multi_cycle),
+        ("ewf_multi_cycle".to_string(), benchmarks::elliptic_wave_filter(), multi_cycle),
+        ("layered_single_cycle".to_string(), layered, single_cycle),
     ];
-    for (name, dfg, (clocks, style)) in cases {
+    // The scale curve: width-8 layered graphs of 48, 144, 272 and 528
+    // nodes (8 inputs, 8 outputs).
+    let scale = [4, 16, 32, 64].map(|layers| {
+        let dfg = benchmarks::random_layered(
+            1991,
+            benchmarks::RandomDfgParams {
+                layers,
+                width: 8,
+                inputs: 8,
+                mul_percent: 40,
+                bits: 16,
+            },
+        );
+        (format!("layered_w8_{}_single_cycle", dfg.len()), dfg, single_cycle)
+    });
+    for (name, dfg, (clocks, style)) in cases.into_iter().chain(scale) {
         let p = Predictor::new(table1_library(), clocks, style, PredictorParams::default());
         group.bench_function(name, |b| {
             b.iter(|| black_box(p.predict(&dfg).expect("predict")));

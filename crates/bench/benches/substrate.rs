@@ -6,7 +6,7 @@ use chop_dfg::benchmarks::{self, random_layered, RandomDfgParams};
 use chop_dfg::OpClass;
 use chop_sched::force::force_directed_schedule;
 use chop_sched::urgency::{ResourceId, SchedulePolicy, TaskGraph};
-use chop_sched::{list_schedule, NodeSpec, ResourceMap};
+use chop_sched::{list_schedule, ListPlan, NodeSpec, ResourceMap};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -25,6 +25,25 @@ fn bench_list_schedule(c: &mut Criterion) {
             b.iter(|| black_box(list_schedule(g, &specs, &alloc).expect("schedule")));
         });
     }
+    // BAD's use: one duration vector, every allocation of a 4 × 4 sweep.
+    let specs = NodeSpec::uniform(&big, 3);
+    let sweep: Vec<ResourceMap> = (1..=4)
+        .flat_map(|adds| {
+            (1..=4).map(move |muls| {
+                [(OpClass::Addition, adds), (OpClass::Multiplication, muls)]
+                    .into_iter()
+                    .collect()
+            })
+        })
+        .collect();
+    group.bench_function("layered_192_plan_sweep", |b| {
+        b.iter(|| {
+            let plan = ListPlan::compile(&big, &specs).expect("compile");
+            for alloc in &sweep {
+                black_box(plan.schedule(alloc).expect("schedule"));
+            }
+        });
+    });
     group.finish();
 }
 

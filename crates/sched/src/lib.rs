@@ -8,7 +8,8 @@
 //!
 //! * [`asap_times`]/[`alap_times`] — unconstrained bounds,
 //! * [`list_schedule`] — resource-constrained list scheduling with
-//!   multi-cycle operations (slack-driven priority),
+//!   multi-cycle operations (slack-driven priority); [`ListPlan`] compiles
+//!   a graph once for a sweep of allocations,
 //! * [`pipeline`] — modulo-reservation checks and minimum feasible
 //!   initiation intervals for pipelined design styles,
 //! * [`lifetime`] — value-lifetime analysis and max-live register bits
@@ -36,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 mod bounds;
+mod flat;
 pub mod force;
 pub mod lifetime;
 mod list;
@@ -43,4 +45,4 @@ pub mod pipeline;
 pub mod urgency;
 
 pub use bounds::{alap_times, asap_times};
-pub use list::{list_schedule, NodeSpec, ResourceMap, Schedule, ScheduleError};
+pub use list::{list_schedule, ListPlan, NodeSpec, ResourceMap, Schedule, ScheduleError};

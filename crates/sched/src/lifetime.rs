@@ -58,17 +58,22 @@ pub fn live_intervals_where(
     schedule: &Schedule,
     keep: impl Fn(&chop_dfg::Edge) -> bool,
 ) -> Vec<LiveInterval> {
-    dfg.edges()
-        .filter(|(_, e)| keep(e))
-        .map(|(_, e)| LiveInterval {
-            birth: schedule.finish(e.src()),
-            // The architecture style has no operator chaining: a value is
-            // latched when produced and read during its consumer's first
-            // cycle, so it occupies a register at least one cycle.
-            death: schedule.start(e.dst()) + 1,
-            width: e.width(),
-        })
-        .collect()
+    intervals(dfg, schedule, keep).collect()
+}
+
+fn intervals<'a>(
+    dfg: &'a Dfg,
+    schedule: &'a Schedule,
+    keep: impl Fn(&chop_dfg::Edge) -> bool + 'a,
+) -> impl Iterator<Item = LiveInterval> + 'a {
+    dfg.edges().filter(move |(_, e)| keep(e)).map(|(_, e)| LiveInterval {
+        birth: schedule.finish(e.src()),
+        // The architecture style has no operator chaining: a value is
+        // latched when produced and read during its consumer's first
+        // cycle, so it occupies a register at least one cycle.
+        death: schedule.start(e.dst()) + 1,
+        width: e.width(),
+    })
 }
 
 /// Maximum number of register bits simultaneously live (non-pipelined).
@@ -95,20 +100,30 @@ pub fn max_live_bits(dfg: &Dfg, schedule: &Schedule) -> Bits {
 }
 
 /// Like [`max_live_bits`] but only counting edges accepted by `keep`.
+///
+/// Runs in O(edges + makespan).
 pub fn max_live_bits_where(
     dfg: &Dfg,
     schedule: &Schedule,
     keep: impl Fn(&chop_dfg::Edge) -> bool,
 ) -> Bits {
-    let intervals = live_intervals_where(dfg, schedule, keep);
+    // One sweep over cycles 0..=makespan: bits born and bits dying per
+    // cycle. A death after the makespan ends no counted cycle, so it is
+    // clipped to makespan + 1.
     let horizon = schedule.makespan();
+    let mut born = vec![0u64; horizon as usize + 2];
+    let mut died = vec![0u64; horizon as usize + 2];
+    for iv in intervals(dfg, schedule, keep) {
+        let death = iv.death.min(horizon + 1);
+        if iv.birth < death {
+            born[iv.birth as usize] += iv.width.value();
+            died[death as usize] += iv.width.value();
+        }
+    }
+    let mut live = 0u64;
     let mut best = 0u64;
-    for t in 0..=horizon {
-        let live: u64 = intervals
-            .iter()
-            .filter(|iv| iv.birth <= t && t < iv.death)
-            .map(|iv| iv.width.value())
-            .sum();
+    for (born, died) in born.into_iter().zip(died).take(horizon as usize + 1) {
+        live = live + born - died;
         best = best.max(live);
     }
     Bits::new(best)
@@ -159,9 +174,8 @@ pub fn max_live_bits_pipelined_where(
     keep: impl Fn(&chop_dfg::Edge) -> bool,
 ) -> Bits {
     assert!(ii > 0, "initiation interval must be positive");
-    let intervals = live_intervals_where(dfg, schedule, keep);
     let mut slot_bits = vec![0u64; ii as usize];
-    for iv in &intervals {
+    for iv in intervals(dfg, schedule, keep) {
         if iv.death <= iv.birth {
             continue;
         }

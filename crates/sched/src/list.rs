@@ -7,6 +7,7 @@ use chop_dfg::{Dfg, NodeId, OpClass};
 use serde::{Deserialize, Serialize};
 
 use crate::bounds::alap_times;
+use crate::flat::FlatLists;
 
 /// Per-node scheduling attributes: duration in cycles and the functional
 /// unit class occupied, if any.
@@ -144,7 +145,7 @@ impl fmt::Display for ResourceMap {
     }
 }
 
-/// Error returned by [`list_schedule`].
+/// Error returned by [`list_schedule`] and [`ListPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
     /// A node needs a functional-unit class with zero allocated instances.
@@ -237,10 +238,14 @@ impl Schedule {
 /// experiment. Zero-duration nodes (I/O, constants) are placed as soon as
 /// their operands are ready and never occupy resources.
 ///
+/// This is [`ListPlan::compile`] followed by [`ListPlan::schedule`]; to
+/// schedule one graph under many allocations, compile it once.
+///
 /// # Errors
 ///
-/// Returns [`ScheduleError::NoUnitsForClass`] if some operation's class has
-/// no allocated instances.
+/// Returns [`ScheduleError::SpecLengthMismatch`] if `specs` does not cover
+/// the graph, and [`ScheduleError::NoUnitsForClass`] if some operation's
+/// class has no allocated instances.
 ///
 /// # Examples
 ///
@@ -262,97 +267,176 @@ pub fn list_schedule(
     specs: &NodeSpec,
     alloc: &ResourceMap,
 ) -> Result<Schedule, ScheduleError> {
-    if specs.len() != dfg.len() {
-        return Err(ScheduleError::SpecLengthMismatch {
-            expected: dfg.len(),
-            found: specs.len(),
-        });
+    ListPlan::compile(dfg, specs)?.schedule(alloc)
+}
+
+/// A graph and its node specs compiled for [`list_schedule`] by
+/// [`ListPlan::compile`]: the successor lists, durations, unit classes and
+/// ALAP priority order, none of which depend on the allocation, so one
+/// plan schedules every allocation of a sweep.
+///
+/// # Examples
+///
+/// ```
+/// use chop_dfg::{benchmarks, OpClass};
+/// use chop_sched::{list_schedule, ListPlan, NodeSpec, ResourceMap};
+///
+/// let g = benchmarks::ar_lattice_filter();
+/// let specs = NodeSpec::uniform(&g, 2);
+/// let plan = ListPlan::compile(&g, &specs)?;
+/// for muls in 1..=4 {
+///     let alloc: ResourceMap =
+///         [(OpClass::Addition, 2), (OpClass::Multiplication, muls)].into_iter().collect();
+///     assert_eq!(plan.schedule(&alloc)?, list_schedule(&g, &specs, &alloc)?);
+/// }
+/// # Ok::<(), chop_sched::ScheduleError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ListPlan {
+    succs: FlatLists<u32>,
+    durations: Vec<u64>,
+    /// Index into `classes` of each node's functional-unit class.
+    class_of: Vec<Option<u32>>,
+    /// The classes the graph uses, in order of their first node.
+    classes: Vec<OpClass>,
+    in_degree: Vec<u32>,
+    /// Each node's position in (ALAP, id) order: every pass over the ready
+    /// nodes visits them in that order.
+    rank: Vec<u32>,
+}
+
+impl ListPlan {
+    /// Compiles a graph and its node specs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::SpecLengthMismatch`] if `specs` does not
+    /// cover every node of the graph.
+    pub fn compile(dfg: &Dfg, specs: &NodeSpec) -> Result<Self, ScheduleError> {
+        let n = dfg.len();
+        if specs.len() != n {
+            return Err(ScheduleError::SpecLengthMismatch { expected: n, found: specs.len() });
+        }
+        let succs = FlatLists::new(
+            n,
+            dfg.edges()
+                .map(|(_, e)| (e.src().index() as u32, e.dst().index() as u32))
+                .collect(),
+        );
+        let mut classes = Vec::new();
+        let class_of = dfg
+            .node_ids()
+            .map(|id| {
+                let class = specs.resource(id)?;
+                let index = classes.iter().position(|&c| c == class).unwrap_or_else(|| {
+                    classes.push(class);
+                    classes.len() - 1
+                });
+                Some(index as u32)
+            })
+            .collect();
+        let in_degree = dfg.node_ids().map(|id| dfg.preds(id).len() as u32).collect();
+        let alap = alap_times(dfg, specs);
+        let mut by_alap: Vec<u32> = (0..n as u32).collect();
+        by_alap.sort_unstable_by_key(|&i| (alap[i as usize], i));
+        let mut rank = vec![0u32; n];
+        for (position, &i) in by_alap.iter().enumerate() {
+            rank[i as usize] = position as u32;
+        }
+        Ok(Self {
+            succs,
+            durations: specs.durations.clone(),
+            class_of,
+            classes,
+            in_degree,
+            rank,
+        })
     }
-    for id in dfg.node_ids() {
-        if let Some(class) = specs.resource(id) {
-            if alloc.get(class) == 0 {
+
+    /// List-schedules the compiled graph under one allocation.
+    ///
+    /// Each pass visits the ready nodes in priority order and starts every
+    /// one whose operands are available and whose class has a free unit;
+    /// nodes released during a pass wait for the next pass at the same
+    /// time. A pass that starts nothing advances time to the next unit
+    /// release or operand-ready time, whichever comes first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::NoUnitsForClass`] for the first node, in id
+    /// order, whose class has no allocated instances.
+    pub fn schedule(&self, alloc: &ResourceMap) -> Result<Schedule, ScheduleError> {
+        // Unit `u` of class `c` is `free_at[first_unit[c] + u]`: the cycle
+        // its current operation finishes, free once that is not after now.
+        let mut first_unit = Vec::with_capacity(self.classes.len() + 1);
+        first_unit.push(0usize);
+        for &class in &self.classes {
+            let units = alloc.get(class);
+            if units == 0 {
                 return Err(ScheduleError::NoUnitsForClass(class));
             }
+            first_unit.push(first_unit[first_unit.len() - 1] + units);
         }
-    }
+        let mut free_at = vec![0u64; first_unit[first_unit.len() - 1]];
 
-    let alap = alap_times(dfg, specs);
-    let n = dfg.len();
-    let mut start = vec![0u64; n];
-    let mut finish = vec![0u64; n];
-    let mut placed = vec![false; n];
-    let mut remaining_preds: Vec<usize> =
-        dfg.node_ids().map(|id| dfg.preds(id).len()).collect();
-    // Busy intervals per class: (finish_time, count) map as a simple vec of
-    // finish times, one per busy instance.
-    let mut busy: BTreeMap<OpClass, Vec<u64>> = BTreeMap::new();
-
-    let mut ready: Vec<NodeId> =
-        dfg.node_ids().filter(|id| remaining_preds[id.index()] == 0).collect();
-    let mut time = 0u64;
-    let mut done = 0usize;
-
-    while done < n {
-        // Sort ready list: most urgent (smallest ALAP) first; ties by id
-        // for determinism.
-        ready.sort_by_key(|id| (alap[id.index()], id.index()));
-        let mut next_ready: Vec<NodeId> = Vec::new();
-        let mut started_any = false;
-        for &id in &ready {
-            debug_assert!(!placed[id.index()]);
-            // Earliest start is when all operands are finished.
-            let operand_ready =
-                dfg.pred_nodes(id).map(|p| finish[p.index()]).max().unwrap_or(0);
-            if operand_ready > time {
-                next_ready.push(id);
-                continue;
-            }
-            let dur = specs.duration(id);
-            if let Some(class) = specs.resource(id) {
-                let pool = busy.entry(class).or_default();
-                pool.retain(|&f| f > time);
-                if pool.len() >= alloc.get(class) {
-                    next_ready.push(id);
+        let n = self.durations.len();
+        let mut pending = self.in_degree.clone();
+        // Finish time of a node's latest operand so far; final once the
+        // node is ready.
+        let mut operands_at = vec![0u64; n];
+        let mut start = vec![0u64; n];
+        let mut finish = vec![0u64; n];
+        let mut ready: Vec<u32> = (0..n as u32).filter(|&i| pending[i as usize] == 0).collect();
+        let mut waiting: Vec<u32> = Vec::new();
+        let mut time = 0u64;
+        let mut done = 0usize;
+        while done < n {
+            ready.sort_unstable_by_key(|&i| self.rank[i as usize]);
+            let mut started_any = false;
+            for &i in &ready {
+                let i = i as usize;
+                if operands_at[i] > time {
+                    waiting.push(i as u32);
                     continue;
                 }
-                pool.push(time + dur);
-            }
-            start[id.index()] = time;
-            finish[id.index()] = time + dur;
-            placed[id.index()] = true;
-            done += 1;
-            started_any = true;
-            for succ in dfg.succ_nodes(id) {
-                remaining_preds[succ.index()] -= 1;
-                if remaining_preds[succ.index()] == 0 {
-                    next_ready.push(succ);
+                let end = time + self.durations[i];
+                if let Some(c) = self.class_of[i] {
+                    let c = c as usize;
+                    let units = &mut free_at[first_unit[c]..first_unit[c + 1]];
+                    let Some(unit) = units.iter_mut().find(|f| **f <= time) else {
+                        waiting.push(i as u32);
+                        continue;
+                    };
+                    *unit = end;
+                }
+                start[i] = time;
+                finish[i] = end;
+                done += 1;
+                started_any = true;
+                for &s in self.succs.of(i) {
+                    let s = s as usize;
+                    operands_at[s] = operands_at[s].max(end);
+                    pending[s] -= 1;
+                    if pending[s] == 0 {
+                        waiting.push(s as u32);
+                    }
                 }
             }
+            std::mem::swap(&mut ready, &mut waiting);
+            waiting.clear();
+            if !started_any {
+                let next_release = free_at.iter().copied().filter(|&f| f > time).min();
+                let next_operands =
+                    ready.iter().map(|&i| operands_at[i as usize]).filter(|&t| t > time).min();
+                time = match (next_release, next_operands) {
+                    (Some(a), Some(b)) => a.min(b),
+                    (Some(a), None) | (None, Some(a)) => a,
+                    (None, None) => time + 1,
+                };
+            }
         }
-        // De-duplicate (a successor may appear once per freed edge).
-        next_ready.sort_by_key(|id| id.index());
-        next_ready.dedup();
-        next_ready.retain(|id| !placed[id.index()]);
-        ready = next_ready;
-        if !started_any {
-            // Advance time to the next interesting event: the earliest busy
-            // unit release or operand finish among ready nodes.
-            let next_release =
-                busy.values().flat_map(|v| v.iter().copied()).filter(|&f| f > time).min();
-            let next_operand = ready
-                .iter()
-                .flat_map(|&id| dfg.pred_nodes(id).map(|p| finish[p.index()]))
-                .filter(|&f| f > time)
-                .min();
-            time = match (next_release, next_operand) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => time + 1,
-            };
-        }
+        Ok(Schedule::from_parts(start, finish))
     }
-    Ok(Schedule::from_parts(start, finish))
 }
 
 #[cfg(test)]

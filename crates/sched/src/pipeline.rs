@@ -5,8 +5,6 @@
 //! resource usage must be checked *modulo* the II — the classic Sehwa-style
 //! reservation-table model the paper builds on.
 
-use std::collections::BTreeMap;
-
 use chop_dfg::{Dfg, OpClass};
 
 use crate::list::{NodeSpec, ResourceMap, Schedule};
@@ -40,41 +38,7 @@ use crate::list::{NodeSpec, ResourceMap, Schedule};
 /// ```
 #[must_use]
 pub fn modulo_demand(dfg: &Dfg, specs: &NodeSpec, schedule: &Schedule, ii: u64) -> ResourceMap {
-    assert!(ii > 0, "initiation interval must be positive");
-    let mut per_slot: BTreeMap<(OpClass, u64), usize> = BTreeMap::new();
-    for id in dfg.node_ids() {
-        let Some(class) = specs.resource(id) else { continue };
-        let dur = specs.duration(id);
-        if dur == 0 {
-            continue;
-        }
-        if dur >= ii {
-            // The op occupies its unit in every modulo slot.
-            for slot in 0..ii {
-                *per_slot.entry((class, slot)).or_insert(0) += 1;
-            }
-            // Ops longer than the II additionally overlap themselves:
-            // ceil(dur/ii) concurrent instances in every slot is modeled by
-            // adding the extra overlap count.
-            let extra = (dur.div_ceil(ii) - 1) as usize;
-            if extra > 0 {
-                for slot in 0..ii {
-                    *per_slot.entry((class, slot)).or_insert(0) += extra;
-                }
-            }
-        } else {
-            for t in schedule.start(id)..schedule.finish(id) {
-                *per_slot.entry((class, t % ii)).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut demand = ResourceMap::new();
-    for ((class, _), count) in per_slot {
-        if count > demand.get(class) {
-            demand.set(class, count);
-        }
-    }
-    demand
+    ModuloFold::new(dfg, specs, schedule).demand(ii).collect()
 }
 
 /// Whether a schedule can be pipelined at initiation interval `ii` with the
@@ -107,9 +71,9 @@ pub fn supports_ii(
     alloc: &ResourceMap,
     ii: u64,
 ) -> bool {
-    let demand = modulo_demand(dfg, specs, schedule, ii);
-    let ok = demand.iter().all(|(class, need)| need <= alloc.get(class));
-    ok
+    let mut fold = ModuloFold::new(dfg, specs, schedule);
+    let units = fold.units(alloc);
+    fold.fits(ii, &units)
 }
 
 /// The smallest initiation interval the schedule sustains with `alloc`,
@@ -144,25 +108,105 @@ pub fn min_initiation_interval(
     alloc: &ResourceMap,
 ) -> u64 {
     let horizon = schedule.makespan().max(1);
+    let mut fold = ModuloFold::new(dfg, specs, schedule);
+    let units = fold.units(alloc);
     // Resource lower bound: ceil(total busy cycles per class / instances).
-    let mut busy: BTreeMap<OpClass, u64> = BTreeMap::new();
-    for id in dfg.node_ids() {
-        if let Some(class) = specs.resource(id) {
-            *busy.entry(class).or_insert(0) += specs.duration(id);
-        }
+    let mut busy = vec![0u64; fold.classes.len()];
+    for op in &fold.ops {
+        busy[op.class] += op.duration;
     }
     let lower = busy
         .iter()
-        .map(|(class, cycles)| {
-            let inst = alloc.get(*class).max(1) as u64;
-            cycles.div_ceil(inst)
-        })
+        .zip(&units)
+        .map(|(cycles, &inst)| cycles.div_ceil(inst.max(1) as u64))
         .max()
         .unwrap_or(1)
         .max(1);
-    (lower..=horizon)
-        .find(|&ii| supports_ii(dfg, specs, schedule, alloc, ii))
-        .unwrap_or(horizon)
+    (lower..=horizon).find(|&ii| fold.fits(ii, &units)).unwrap_or(horizon)
+}
+
+/// A functional-unit operation of non-zero duration, as placed by a
+/// schedule.
+struct BusyOp {
+    /// Index into [`ModuloFold::classes`].
+    class: usize,
+    start: u64,
+    finish: u64,
+    duration: u64,
+}
+
+/// A schedule's functional-unit operations, folded modulo one candidate
+/// initiation interval at a time into a flat per-class slot table that
+/// is reused across candidates.
+struct ModuloFold {
+    /// Classes with an operation of non-zero duration, in class order.
+    classes: Vec<OpClass>,
+    ops: Vec<BusyOp>,
+    /// `slots[c * ii + slot]`: operations of class `c` busy in `slot`.
+    slots: Vec<usize>,
+    /// Per class: the depth that operations at least `ii` long add to
+    /// every slot.
+    depth: Vec<usize>,
+}
+
+impl ModuloFold {
+    fn new(dfg: &Dfg, specs: &NodeSpec, schedule: &Schedule) -> Self {
+        let busy = || {
+            dfg.node_ids().filter_map(|id| {
+                let class = specs.resource(id)?;
+                (specs.duration(id) > 0).then_some((id, class))
+            })
+        };
+        let mut classes: Vec<OpClass> = busy().map(|(_, class)| class).collect();
+        classes.sort_unstable();
+        classes.dedup();
+        let ops = busy()
+            .map(|(id, class)| BusyOp {
+                class: classes.binary_search(&class).expect("collected above"),
+                start: schedule.start(id),
+                finish: schedule.finish(id),
+                duration: specs.duration(id),
+            })
+            .collect();
+        Self { classes, ops, slots: Vec::new(), depth: Vec::new() }
+    }
+
+    /// Instances `alloc` provides of each class, in class order.
+    fn units(&self, alloc: &ResourceMap) -> Vec<usize> {
+        self.classes.iter().map(|&class| alloc.get(class)).collect()
+    }
+
+    /// Folds the operations modulo `ii` and yields each class with the
+    /// most of its operations busy in any one slot.
+    fn demand(&mut self, ii: u64) -> impl Iterator<Item = (OpClass, usize)> + '_ {
+        assert!(ii > 0, "initiation interval must be positive");
+        let width = ii as usize;
+        self.slots.clear();
+        self.slots.resize(self.classes.len() * width, 0);
+        self.depth.clear();
+        self.depth.resize(self.classes.len(), 0);
+        for op in &self.ops {
+            if op.duration >= ii {
+                // The op occupies its unit in every slot, and one longer
+                // than the II also overlaps itself: ceil(dur/ii) deep.
+                self.depth[op.class] += op.duration.div_ceil(ii) as usize;
+            } else {
+                let row = &mut self.slots[op.class * width..(op.class + 1) * width];
+                for t in op.start..op.finish {
+                    row[(t % ii) as usize] += 1;
+                }
+            }
+        }
+        let Self { classes, slots, depth, .. } = &*self;
+        classes.iter().zip(slots.chunks(width)).zip(depth).map(|((&class, row), &depth)| {
+            (class, depth + row.iter().copied().max().unwrap_or(0))
+        })
+    }
+
+    /// Whether `units` (in class order) covers the demand at `ii`.
+    fn fits(&mut self, ii: u64, units: &[usize]) -> bool {
+        self.demand(ii).zip(units).all(|((_, need), &have)| need <= have)
+    }
 }
 
 #[cfg(test)]

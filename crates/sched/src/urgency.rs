@@ -12,6 +12,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::flat::FlatLists;
+
 /// Identifier of a task in a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TaskId(u32);
@@ -311,34 +313,6 @@ impl TaskGraph {
         capacities: &[u64],
     ) -> Result<TaskSchedule, UrgencyError> {
         Ok(self.compile(capacities)?.schedule(policy, &self.durations()))
-    }
-}
-
-/// Per-task lists stored flat: task `i`'s entries are
-/// `items[start[i]..start[i + 1]]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct FlatLists<T> {
-    start: Vec<u32>,
-    items: Vec<T>,
-}
-
-impl<T> FlatLists<T> {
-    /// Groups `(task, item)` pairs by task, keeping each task's items in
-    /// input order.
-    fn new(n: usize, mut pairs: Vec<(u32, T)>) -> Self {
-        pairs.sort_by_key(|&(task, _)| task);
-        let mut start = vec![0u32; n + 1];
-        for &(task, _) in &pairs {
-            start[task as usize + 1] += 1;
-        }
-        for i in 0..n {
-            start[i + 1] += start[i];
-        }
-        Self { start, items: pairs.into_iter().map(|(_, item)| item).collect() }
-    }
-
-    fn of(&self, task: usize) -> &[T] {
-        &self.items[self.start[task] as usize..self.start[task + 1] as usize]
     }
 }
 
