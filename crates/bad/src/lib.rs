@@ -44,6 +44,7 @@ mod prediction;
 mod predictor;
 pub mod prune;
 mod style;
+mod sweep;
 
 pub use clock::{ClockConfig, ClockConfigError};
 pub use params::{AllocationSweep, PredictorParams};
@@ -51,6 +52,7 @@ pub use prediction::{DesignDetail, PredictedDesign};
 pub use predictor::{PredictError, Predictor};
 pub use prune::{PartitionEnvelope, PredictionStats};
 pub use style::{ArchitectureStyle, DesignStyle, OperationTiming};
+pub use sweep::Sweep;
 
 // The exploration engine shares predictors and prediction lists across
 // scoped worker threads; losing these bounds (e.g. by adding interior
@@ -60,4 +62,5 @@ const _: () = {
     _assert_send_sync::<Predictor>();
     _assert_send_sync::<PredictedDesign>();
     _assert_send_sync::<PredictionStats>();
+    _assert_send_sync::<Sweep>();
 };

@@ -110,6 +110,17 @@ impl PredictedDesign {
         }
     }
 
+    /// The same design with its identity filled in: a sweep candidate is
+    /// built with an empty module set, allocation and bandwidth map.
+    pub(crate) fn with_identity(
+        self,
+        module_set: ModuleSet,
+        allocation: ResourceMap,
+        memory_bandwidth: BTreeMap<u32, u64>,
+    ) -> Self {
+        Self { module_set, allocation, memory_bandwidth, ..self }
+    }
+
     /// The design style.
     #[must_use]
     pub fn style(&self) -> DesignStyle {

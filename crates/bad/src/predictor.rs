@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use chop_dfg::{analysis, Dfg, OpClass};
-use chop_library::{Library, LibraryError, ModuleSet};
+use chop_library::{HwModule, Library, LibraryError, ModuleSet};
 use chop_sched::lifetime::{max_live_bits_pipelined_where, max_live_bits_where};
 use chop_sched::pipeline::min_initiation_interval;
 use chop_sched::{ListPlan, NodeSpec, ResourceMap, ScheduleError};
@@ -16,6 +16,7 @@ use crate::clock::ClockConfig;
 use crate::params::PredictorParams;
 use crate::prediction::{DesignDetail, PredictedDesign};
 use crate::style::{ArchitectureStyle, DesignStyle, OperationTiming};
+use crate::sweep::{Candidate, Sweep};
 
 /// Error produced by [`Predictor::predict`].
 #[derive(Debug)]
@@ -123,13 +124,27 @@ impl Predictor {
         &self.params
     }
 
-    /// Enumerates predicted implementations of a partition.
+    /// Enumerates predicted implementations of a partition: every
+    /// candidate of [`Predictor::sweep`], filled in, in emission order.
+    ///
+    /// No pruning happens here — that is CHOP's job ([`crate::prune`]), so
+    /// the caller can also observe the whole design space (paper Tables
+    /// 3/5, Figures 7/8). A caller that prunes anyway should use
+    /// [`Sweep::prune`], which builds full designs only for the survivors.
+    ///
+    /// # Errors
+    ///
+    /// As [`Predictor::sweep`].
+    pub fn predict(&self, dfg: &Dfg) -> Result<Vec<PredictedDesign>, PredictError> {
+        Ok(self.sweep(dfg)?.into_designs())
+    }
+
+    /// Runs BAD's sweep over a partition and keeps its candidates without
+    /// their identities (see [`Sweep`]).
     ///
     /// Sweeps every module set × functional-unit allocation × design style
     /// the architecture allows, schedules each candidate and attaches the
-    /// full area/overhead model. No pruning happens here — that is CHOP's
-    /// job ([`crate::prune`]), so the caller can also observe the whole
-    /// design space (paper Figures 7/8).
+    /// full area/overhead model.
     ///
     /// A candidate's schedule, initiation interval and live register bits
     /// depend only on its per-class cycle counts (the *duration vector*),
@@ -137,8 +152,9 @@ impl Predictor {
     /// cycle counts. So each distinct duration vector is scheduled once per
     /// call, when the first module set yielding it comes up, and every
     /// module set sharing it reuses those points (under single-cycle timing
-    /// every usable set shares the all-ones vector). Designs are emitted in
-    /// module set, then allocation, then style order.
+    /// every usable set shares the all-ones vector). Each module set's
+    /// modules, op counts and cycle counts are resolved once per set.
+    /// Candidates come in module set, then allocation, then style order.
     ///
     /// # Errors
     ///
@@ -147,16 +163,26 @@ impl Predictor {
     /// [`PredictError::NoUsableModuleSet`] if the style/clocking excludes
     /// every module set (single-cycle operation with a datapath cycle
     /// shorter than every module of some class).
-    pub fn predict(&self, dfg: &Dfg) -> Result<Vec<PredictedDesign>, PredictError> {
+    pub fn sweep(&self, dfg: &Dfg) -> Result<Sweep, PredictError> {
         let hist = dfg.op_histogram();
         let classes = hist.classes();
         self.library.check_supports(classes.iter().copied())?;
         let memory_bandwidth = memory_bandwidth(dfg);
 
         if classes.is_empty() {
-            return Ok(vec![self.trivial_design(memory_bandwidth)]);
+            let trivial =
+                Candidate { design: self.trivial_design(), module_set: 0, allocation: 0 };
+            return Ok(Sweep::new(
+                vec![trivial],
+                vec![ModuleSet::empty()],
+                vec![ResourceMap::new()],
+                memory_bandwidth,
+            ));
         }
 
+        let register = self.library.register().expect("checked by check_supports");
+        let mux = self.library.multiplexer().expect("checked by check_supports");
+        let ops: Vec<u64> = classes.iter().map(|&c| hist.count_class(c) as u64).collect();
         let peak = peak_parallelism(dfg, &classes);
         let allocations = allocation_sweep(
             &classes,
@@ -165,50 +191,60 @@ impl Predictor {
             self.params.max_units_per_class,
             self.params.allocation_sweep,
         );
-        let mut points_by_durations = BTreeMap::new();
-        let mut designs = Vec::new();
+        let module_sets = self.library.module_sets(classes.iter().copied());
+        let mut points_by_durations: BTreeMap<Vec<u64>, Vec<ScheduledPoint>> = BTreeMap::new();
+        let mut candidates = Vec::new();
         let mut any_set_usable = false;
 
-        for module_set in self.library.module_sets(classes.iter().copied()) {
-            let Some(durations) = self.class_durations(&module_set, &classes) else {
+        for (set_index, module_set) in module_sets.iter().enumerate() {
+            let Some(units) = self.resolve(module_set, &classes, &ops) else {
                 continue; // module set unusable for this style
             };
             any_set_usable = true;
+            let durations: Vec<u64> = units.iter().map(|u| u.cycles).collect();
             if !points_by_durations.contains_key(&durations) {
-                let points = self.schedule_points(dfg, &durations, &allocations)?;
+                let points = self.schedule_points(dfg, &classes, &durations, &allocations)?;
                 points_by_durations.insert(durations.clone(), points);
             }
             for point in &points_by_durations[&durations] {
-                designs.push(self.assemble(
-                    &module_set,
-                    &allocations[point.allocation],
-                    &hist,
-                    &durations,
-                    point,
-                    memory_bandwidth.clone(),
-                ));
+                candidates.push(Candidate {
+                    design: self.assemble(
+                        register,
+                        mux,
+                        &units,
+                        &allocations[point.allocation],
+                        point,
+                    ),
+                    module_set: set_index,
+                    allocation: point.allocation,
+                });
             }
         }
         if !any_set_usable {
             return Err(PredictError::NoUsableModuleSet);
         }
-        Ok(designs)
+        Ok(Sweep::new(candidates, module_sets, allocations, memory_bandwidth))
     }
 
     /// Schedules every allocation × allowed style under one duration
-    /// vector, in allocation then style order. The list-scheduling plan is
-    /// compiled once here and scheduled once per allocation.
+    /// vector (`durations[i]` is the cycle count of `classes[i]`), in
+    /// allocation then style order. The list-scheduling plan is compiled
+    /// once here and scheduled once per allocation.
     fn schedule_points(
         &self,
         dfg: &Dfg,
-        durations: &BTreeMap<OpClass, u64>,
+        classes: &[OpClass],
+        durations: &[u64],
         allocations: &[ResourceMap],
     ) -> Result<Vec<ScheduledPoint>, ScheduleError> {
+        let cycles = |class| {
+            durations[classes.binary_search(&class).expect("the partition's own class")]
+        };
         let specs = NodeSpec::from_fn(
             dfg,
             |id| match dfg.node(id).op() {
                 op if op.is_memory_access() => 1,
-                op => op.class().map_or(0, |c| durations[&c]),
+                op => op.class().map_or(0, cycles),
             },
             |id| dfg.node(id).op().class(),
         );
@@ -253,44 +289,49 @@ impl Predictor {
         Ok(points)
     }
 
-    /// Duration (datapath cycles) of each class under a module set, or
-    /// `None` if the set is unusable for the architecture style.
-    fn class_durations(
-        &self,
+    /// Resolves a module set against the partition's classes: each class's
+    /// module, op count (`ops[i]` for `classes[i]`) and cycle count, in
+    /// class order. `None` if the set is unusable for the architecture
+    /// style.
+    fn resolve<'lib>(
+        &'lib self,
         module_set: &ModuleSet,
         classes: &[OpClass],
-    ) -> Option<BTreeMap<OpClass, u64>> {
-        let mut durations = BTreeMap::new();
-        for &class in classes {
-            let module = module_set.module_for(&self.library, class)?;
-            let cycles = match self.style.timing() {
-                OperationTiming::SingleCycle => {
-                    if module.delay().value() > self.clocks.datapath_cycle().value() {
-                        return None;
+        ops: &[u64],
+    ) -> Option<Vec<UnitModel<'lib>>> {
+        classes
+            .iter()
+            .zip(ops)
+            .map(|(&class, &count)| {
+                let module = module_set.module_for(&self.library, class)?;
+                let cycles = match self.style.timing() {
+                    OperationTiming::SingleCycle => {
+                        if module.delay().value() > self.clocks.datapath_cycle().value() {
+                            return None;
+                        }
+                        1
                     }
-                    1
-                }
-                OperationTiming::MultiCycle => self.clocks.datapath_cycles_for(module.delay()),
-            };
-            durations.insert(class, cycles);
-        }
-        Some(durations)
+                    OperationTiming::MultiCycle => {
+                        self.clocks.datapath_cycles_for(module.delay())
+                    }
+                };
+                Some(UnitModel { class, module, ops: count, cycles })
+            })
+            .collect()
     }
 
-    /// Full area/overhead model for one scheduled candidate.
+    /// Full area/overhead model for one scheduled candidate, without its
+    /// identity (module set, allocation, memory bandwidth).
     fn assemble(
         &self,
-        module_set: &ModuleSet,
+        register: &HwModule,
+        mux: &HwModule,
+        units: &[UnitModel<'_>],
         allocation: &ResourceMap,
-        hist: &chop_dfg::OpHistogram,
-        durations: &BTreeMap<OpClass, u64>,
         point: &ScheduledPoint,
-        memory_bandwidth: BTreeMap<u32, u64>,
     ) -> PredictedDesign {
         let &ScheduledPoint { style, stages, ii_dp, register_bits, .. } = point;
         let word = Bits::new(16);
-        let register = self.library.register().expect("checked by check_supports");
-        let mux = self.library.multiplexer().expect("checked by check_supports");
 
         // Functional-unit area and steering estimate.
         let mut fu_area = 0.0;
@@ -298,24 +339,22 @@ impl Predictor {
         let mut word_muxes = 0u64;
         let mut total_units = 0u64;
         let mut max_ops_per_unit = 1u64;
-        for (class, units) in allocation.iter() {
-            let module = module_set
-                .module_for(&self.library, class)
-                .expect("allocation classes come from the module set");
-            fu_area += module.area().value() * units as f64;
+        for ((class, count), unit) in allocation.iter().zip(units) {
+            debug_assert_eq!(class, unit.class, "allocations cover the classes in order");
+            let module = unit.module;
+            fu_area += module.area().value() * count as f64;
             // Dynamic power scales with utilization: the fraction of one
             // initiation interval each unit spends busy.
-            let busy_cycles = hist.count_class(class) as f64 * durations[&class] as f64;
-            let utilization = (busy_cycles / (units as f64 * ii_dp as f64)).min(1.0);
-            fu_power += module.power().value() * units as f64 * utilization;
-            let ops = hist.count_class(class) as u64;
-            let units = units as u64;
-            total_units += units;
-            let ops_per_unit = ops.div_ceil(units.max(1));
+            let busy_cycles = unit.ops as f64 * unit.cycles as f64;
+            let utilization = (busy_cycles / (count as f64 * ii_dp as f64)).min(1.0);
+            fu_power += module.power().value() * count as f64 * utilization;
+            let count = count as u64;
+            total_units += count;
+            let ops_per_unit = unit.ops.div_ceil(count.max(1));
             max_ops_per_unit = max_ops_per_unit.max(ops_per_unit);
             // Two input ports per unit, one 2:1 mux tree level per extra
             // source feeding each port.
-            word_muxes += units * 2 * ops_per_unit.saturating_sub(1);
+            word_muxes += count * 2 * ops_per_unit.saturating_sub(1);
         }
         // Register-file input steering: roughly one 2:1 slice per stored bit.
         let mux_count = word_muxes * word.value() + register_bits.value();
@@ -364,21 +403,22 @@ impl Predictor {
 
         PredictedDesign::new(
             style,
-            module_set.clone(),
-            allocation.clone(),
+            ModuleSet::empty(),
+            ResourceMap::new(),
             self.clocks.datapath_to_main(ii_dp),
             self.clocks.datapath_to_main(stages),
             area,
             clock_overhead,
             power,
             DesignDetail { stages, register_bits, mux_count, controller },
-            memory_bandwidth,
+            BTreeMap::new(),
         )
     }
 
     /// A zero-datapath design for partitions with no functional-unit
-    /// operations (pure routing / memory staging).
-    fn trivial_design(&self, memory_bandwidth: BTreeMap<u32, u64>) -> PredictedDesign {
+    /// operations (pure routing / memory staging), without its memory
+    /// bandwidth.
+    fn trivial_design(&self) -> PredictedDesign {
         let controller = PlaSpec::for_fsm(1, 1, 1);
         let area = controller.area(&self.params).value();
         PredictedDesign::new(
@@ -395,9 +435,18 @@ impl Predictor {
             Estimate::exact(0.0),
             Estimate::exact(area * chop_library::DEFAULT_POWER_DENSITY * 0.5),
             DesignDetail { stages: 1, register_bits: Bits::zero(), mux_count: 0, controller },
-            memory_bandwidth,
+            BTreeMap::new(),
         )
     }
+}
+
+/// One class of a module set, resolved once per set: its module, its
+/// operation count in the partition and its cycle count.
+struct UnitModel<'lib> {
+    class: OpClass,
+    module: &'lib HwModule,
+    ops: u64,
+    cycles: u64,
 }
 
 /// Everything about a candidate that depends only on its duration vector,

@@ -182,11 +182,24 @@ pub fn prune(
     envelope: &PartitionEnvelope,
     clocks: &ClockConfig,
 ) -> (Vec<PredictedDesign>, PredictionStats) {
-    let total = designs.len();
-    let feasible: Vec<PredictedDesign> =
-        designs.into_iter().filter(|d| envelope.admits(d, clocks)).collect();
+    prune_by(designs, |d| d, envelope, clocks)
+}
+
+/// Level-1 pruning over anything that carries a design: keeps the items
+/// whose design the envelope admits, then the Pareto-minimal ones, in
+/// their original order. [`prune`] runs it on whole designs and
+/// [`crate::Sweep::prune`] on candidates not yet filled in.
+pub(crate) fn prune_by<T>(
+    items: Vec<T>,
+    design: impl Fn(&T) -> &PredictedDesign,
+    envelope: &PartitionEnvelope,
+    clocks: &ClockConfig,
+) -> (Vec<T>, PredictionStats) {
+    let total = items.len();
+    let feasible: Vec<T> =
+        items.into_iter().filter(|x| envelope.admits(design(x), clocks)).collect();
     let n_feasible = feasible.len();
-    let kept = pareto_filter(feasible);
+    let kept = pareto_filter_by(feasible, design);
     let stats = PredictionStats { total, feasible: n_feasible, non_inferior: kept.len() };
     (kept, stats)
 }
@@ -194,13 +207,20 @@ pub fn prune(
 /// Removes designs dominated by another design in the set.
 #[must_use]
 pub fn pareto_filter(designs: Vec<PredictedDesign>) -> Vec<PredictedDesign> {
-    let mut kept: Vec<PredictedDesign> = Vec::with_capacity(designs.len());
-    for d in designs {
-        if kept.iter().any(|k| k.dominates(&d)) {
+    pareto_filter_by(designs, |d| d)
+}
+
+/// Removes items whose design is dominated by another item's, keeping the
+/// survivors in their original order.
+fn pareto_filter_by<T>(items: Vec<T>, design: impl Fn(&T) -> &PredictedDesign) -> Vec<T> {
+    let mut kept: Vec<T> = Vec::with_capacity(items.len());
+    for item in items {
+        let d = design(&item);
+        if kept.iter().any(|k| design(k).dominates(d)) {
             continue;
         }
-        kept.retain(|k| !d.dominates(k));
-        kept.push(d);
+        kept.retain(|k| !d.dominates(design(k)));
+        kept.push(item);
     }
     kept
 }

@@ -4,13 +4,16 @@ use std::collections::BTreeMap;
 
 use chop_bad::prune::{pareto_filter, prune};
 use chop_bad::{
-    ArchitectureStyle, ClockConfig, DesignStyle, PartitionEnvelope, Predictor, PredictorParams,
+    AllocationSweep, ArchitectureStyle, ClockConfig, DesignStyle, PartitionEnvelope,
+    PredictedDesign, Predictor, PredictorParams,
 };
 use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
-use chop_dfg::OpClass;
+use chop_dfg::{Dfg, OpClass};
 use chop_library::standard::table1_library;
 use chop_library::ModuleSet;
+use chop_sched::{ListPlan, NodeSpec};
 use chop_stat::units::{Nanos, SquareMils};
+use chop_stat::FeasibilityThreshold;
 use proptest::prelude::*;
 
 fn arb_workload() -> impl Strategy<Value = (u64, RandomDfgParams)> {
@@ -35,8 +38,92 @@ fn predictor(multi_cycle: bool) -> (Predictor, ClockConfig) {
     (Predictor::new(table1_library(), clocks, style, PredictorParams::default()), clocks)
 }
 
+/// Whether a design's identity reproduces its schedule: its module set
+/// covers exactly its allocation's classes, and list-scheduling the
+/// partition with that allocation and those modules' cycle counts gives
+/// its stage count. A design carrying another candidate's module set or
+/// allocation, or none, fails this.
+fn identity_reproduces_schedule(
+    dfg: &Dfg,
+    p: &Predictor,
+    clocks: &ClockConfig,
+    multi_cycle: bool,
+    d: &PredictedDesign,
+) -> bool {
+    let classes: Vec<OpClass> = d.allocation().iter().map(|(class, _)| class).collect();
+    if classes != d.module_set().iter().map(|(class, _)| class).collect::<Vec<_>>() {
+        return false;
+    }
+    let cycles = |class| {
+        let module = d.module_set().module_for(p.library(), class).expect("library module");
+        if multi_cycle {
+            clocks.datapath_cycles_for(module.delay())
+        } else {
+            1
+        }
+    };
+    let specs = NodeSpec::from_fn(
+        dfg,
+        |id| match dfg.node(id).op() {
+            op if op.is_memory_access() => 1,
+            op => op.class().map_or(0, cycles),
+        },
+        |id| dfg.node(id).op().class(),
+    );
+    let schedule = ListPlan::compile(dfg, &specs).unwrap().schedule(d.allocation()).unwrap();
+    schedule.makespan().max(1) == d.detail().stages
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The fused path prunes bare candidates and fills in the survivors;
+    // it must return exactly what pruning the full list returns, for
+    // envelopes that cut through the designs' own area range.
+    #[test]
+    fn sweep_prune_equals_prune_of_predict(
+        (seed, params) in arb_workload(),
+        multi_cycle in any::<bool>(),
+        powers_of_two in any::<bool>(),
+        area_percent in 0u32..101,
+        time in 3_000.0f64..120_000.0,
+        threshold_percents in (50u32..101, 50u32..101, 50u32..101),
+    ) {
+        let dfg = random_layered(seed, params);
+        let (p, clocks) = predictor(multi_cycle);
+        let sweep = if powers_of_two {
+            AllocationSweep::PowersOfTwo
+        } else {
+            AllocationSweep::Exhaustive
+        };
+        let p = Predictor::new(
+            p.library().clone(),
+            clocks,
+            *p.style(),
+            PredictorParams { allocation_sweep: sweep, ..PredictorParams::default() },
+        );
+        let designs = p.predict(&dfg).unwrap();
+        prop_assert_eq!(&p.sweep(&dfg).unwrap().into_designs(), &designs);
+        for d in &designs {
+            prop_assert!(identity_reproduces_schedule(&dfg, &p, &clocks, multi_cycle, d));
+        }
+
+        let areas = designs.iter().map(|d| d.area().likely());
+        let lo = areas.clone().fold(f64::INFINITY, f64::min);
+        let hi = areas.fold(f64::NEG_INFINITY, f64::max);
+        let threshold = |percent: u32| FeasibilityThreshold::new(f64::from(percent) / 100.0);
+        let (area_p, performance_p, delay_p) = threshold_percents;
+        let envelope = PartitionEnvelope::new(
+            SquareMils::new(lo + f64::from(area_percent) / 100.0 * (hi - lo)),
+            Nanos::new(time),
+            Nanos::new(time),
+        )
+        .with_thresholds(threshold(area_p), threshold(performance_p), threshold(delay_p));
+        let fused = p.sweep(&dfg).unwrap().prune(&envelope, &clocks);
+        let (kept, stats) = prune(designs, &envelope, &clocks);
+        prop_assert_eq!(&fused.1, &stats);
+        prop_assert_eq!(&fused.0, &kept);
+    }
 
     #[test]
     fn predictions_are_internally_consistent(

@@ -1,9 +1,10 @@
 //! Cost of one BAD prediction sweep — the "fast predictors in place of
 //! synthesis tools" claim underlying the whole methodology.
 
-use chop_bad::{ArchitectureStyle, ClockConfig, Predictor, PredictorParams};
+use chop_bad::prune::prune;
+use chop_bad::{ArchitectureStyle, ClockConfig, PartitionEnvelope, Predictor, PredictorParams};
 use chop_dfg::benchmarks;
-use chop_library::standard::table1_library;
+use chop_library::standard::{table1_library, table2_packages};
 use chop_stat::units::Nanos;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -28,6 +29,22 @@ fn bench_predict(c: &mut Criterion) {
             bits: 16,
         },
     );
+    // Predict plus level-1 pruning, as the engine runs it on that shape:
+    // the full list and then `prune`, against the fused path that prunes
+    // bare candidates and fills in only the survivors. The envelope is the
+    // 84-pin package under 1 ms constraints.
+    {
+        let (clocks, style) = single_cycle;
+        let p = Predictor::new(table1_library(), clocks, style, PredictorParams::default());
+        let ms = Nanos::new(1_000_000.0);
+        let env = PartitionEnvelope::new(table2_packages()[1].usable_area(), ms, ms);
+        group.bench_function("layered_single_cycle_pruned/predict_then_prune", |b| {
+            b.iter(|| black_box(prune(p.predict(&layered).expect("predict"), &env, &clocks)));
+        });
+        group.bench_function("layered_single_cycle_pruned/sweep_prune", |b| {
+            b.iter(|| black_box(p.sweep(&layered).expect("sweep").prune(&env, &clocks)));
+        });
+    }
     let cases = [
         ("ar_single_cycle".to_string(), benchmarks::ar_lattice_filter(), single_cycle),
         ("ar_multi_cycle".to_string(), benchmarks::ar_lattice_filter(), multi_cycle),

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use chop_bad::prune::{prune, PredictionStats};
 use chop_bad::{AllocationSweep, DesignStyle, OperationTiming};
-use chop_bad::{PartitionEnvelope, PredictError, PredictedDesign, Predictor};
+use chop_bad::{PartitionEnvelope, PredictError, PredictedDesign, Predictor, Sweep};
 use chop_dfg::hash::{structural_hash, StableHasher};
 
 use crate::budget::{BudgetTimer, Completion};
@@ -27,6 +27,15 @@ pub(crate) struct PredictOutput {
     /// `Some` when the deadline tripped mid-sweep; `lists`/`stats` then
     /// hold the completed prefix, exactly as a serial sweep would.
     pub truncated: Option<Completion>,
+}
+
+/// BAD's output for one partition, before level-1 pruning.
+enum Predicted {
+    /// Candidates not yet filled in: pruning fills in only the survivors.
+    Sweep(Sweep),
+    /// Every design in full: pruning is off, or a fault plan corrupted
+    /// them.
+    Designs(Vec<PredictedDesign>),
 }
 
 type Slot = Option<Result<(Arc<[PredictedDesign]>, PredictionStats), ChopError>>;
@@ -165,19 +174,24 @@ fn predict_one(
         if let Some(plan) = &session.fault_plan {
             plan.before_predict(p.index());
         }
-        #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
-        let mut designs = predictor.predict(&sub)?;
+        let sweep = predictor.sweep(&sub)?;
         // Post-prediction corruption stays inside the guard: a poisoned
         // estimate that trips a numeric invariant (e.g. `Estimate`
         // rejecting NaN) is contained the same way.
         #[cfg(feature = "fault-inject")]
         if let Some(plan) = &session.fault_plan {
+            let mut designs = sweep.into_designs();
             plan.corrupt(p.index(), &mut designs);
+            return Ok(Predicted::Designs(designs));
         }
-        Ok(designs)
+        Ok(if session.prune {
+            Predicted::Sweep(sweep)
+        } else {
+            Predicted::Designs(sweep.into_designs())
+        })
     }));
-    let designs = match predicted {
-        Ok(Ok(designs)) => designs,
+    let predicted = match predicted {
+        Ok(Ok(predicted)) => predicted,
         Ok(Err(source)) => return Err(ChopError::Predict { partition: p.index(), source }),
         Err(payload) => {
             return Err(ChopError::Predict {
@@ -197,15 +211,21 @@ fn predict_one(
         session.criteria.delay,
     );
     let prune_started = Instant::now();
-    let (list, stat): (Arc<[PredictedDesign]>, PredictionStats) = if session.prune {
-        let (kept, s) = prune(designs, &envelope, &session.clocks);
-        (kept.into(), s)
-    } else {
-        // Statistics still reflect what pruning *would* keep.
-        let total = designs.len();
-        let feasible = designs.iter().filter(|d| envelope.admits(d, &session.clocks)).count();
-        (designs.into(), PredictionStats { total, feasible, non_inferior: total })
+    let (list, stat) = match predicted {
+        // Only the survivors are filled in, so that is prune-L1 time too.
+        Predicted::Sweep(sweep) => sweep.prune(&envelope, &session.clocks),
+        Predicted::Designs(designs) if session.prune => {
+            prune(designs, &envelope, &session.clocks)
+        }
+        Predicted::Designs(designs) => {
+            // Statistics still reflect what pruning *would* keep.
+            let total = designs.len();
+            let feasible =
+                designs.iter().filter(|d| envelope.admits(d, &session.clocks)).count();
+            (designs, PredictionStats { total, feasible, non_inferior: total })
+        }
     };
+    let list: Arc<[PredictedDesign]> = list.into();
     trace.add_prune_l1(prune_started.elapsed());
     if let Some(key) = key {
         session.cache.insert(key, Arc::clone(&list), stat);
