@@ -27,6 +27,8 @@ pub struct ExploreTrace {
     /// calls and level-1 pruning, however many workers ran them).
     pub predict_ns: u64,
     /// CPU nanoseconds inside level-1 pruning, summed across workers.
+    /// Pruning runs on BAD's bare candidates, so this includes filling in
+    /// the survivors' module sets, allocations and bandwidth maps.
     pub prune_l1_ns: u64,
     /// Wall-clock span of the combination-search stage.
     pub search_ns: u64,
