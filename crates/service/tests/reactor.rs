@@ -4,7 +4,8 @@
 //! The happy paths (digest parity, typed errors, busy replies) live in
 //! `service_e2e.rs`; this suite pokes at the readiness machinery itself
 //! — slowloris drip-feeding, idle reaping, write backpressure against a
-//! non-reading client, and reply ordering under pipelining.
+//! non-reading client, and reply ordering under pipelining — and holds
+//! the `chop router` front end to the same framing rules.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -13,8 +14,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use chop_service::net::MAX_LINE_BYTES;
 use chop_service::{
-    ErrorKind, ExploreParams, OpenParams, Request, Response, ServeConfig, Server,
+    BackendSpec, ErrorKind, ExploreParams, OpenParams, Request, Response, Router, RouterConfig,
+    ServeConfig, Server,
 };
 
 /// The five-node running example (mul feeding an add chain).
@@ -28,6 +31,24 @@ fn start_server(config: ServeConfig) -> (std::net::SocketAddr, thread::JoinHandl
     let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr");
     let handle = thread::spawn(move || server.run().expect("server drains cleanly"));
+    (addr, handle)
+}
+
+/// A router over one backend with no standby; health pings are slowed
+/// so only the request path talks to the backend.
+fn start_router(
+    backend: std::net::SocketAddr,
+) -> (std::net::SocketAddr, thread::JoinHandle<()>) {
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig {
+            pairs: vec![BackendSpec { primary: backend.to_string(), standby: None }],
+            health_interval: Duration::from_secs(30),
+        },
+    )
+    .expect("bind router");
+    let addr = router.local_addr().expect("router addr");
+    let handle = thread::spawn(move || router.run().expect("router drains cleanly"));
     (addr, handle)
 }
 
@@ -272,31 +293,100 @@ fn pipelined_mix_of_inline_and_dispatched_requests_answers_in_order() {
 
 #[test]
 fn hundreds_of_concurrent_connections_are_all_served() {
-    let (addr, server) =
+    let (backend, server) =
         start_server(ServeConfig { workers: 1, jobs: test_jobs(), ..ServeConfig::default() });
+    let (router, router_thread) = start_router(backend);
 
     // 200 connections held open at once (kept modest for CI fd limits;
-    // BENCH_serve.json exercises 1024). Each gets two pings with every
-    // other connection still live in between.
-    let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..200)
-        .map(|i| {
-            let stream = TcpStream::connect(addr).unwrap_or_else(|e| panic!("conn {i}: {e}"));
-            let reader = BufReader::new(stream.try_clone().expect("clone"));
-            (stream, reader)
-        })
-        .collect();
-    for round in 0..2 {
-        for (i, (stream, reader)) in conns.iter_mut().enumerate() {
-            stream.write_all(&encode_line(&Request::Ping)).expect("ping");
-            assert!(
-                matches!(read_response(reader), Response::Pong { .. }),
-                "conn {i} round {round}"
-            );
+    // BENCH_serve.json exercises 1024), first on the server, then on a
+    // router in front of it. Each gets two pings with every other
+    // connection still live in between.
+    for (target, addr) in [("server", backend), ("router", router)] {
+        let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..200)
+            .map(|i| {
+                let stream = TcpStream::connect(addr)
+                    .unwrap_or_else(|e| panic!("{target} conn {i}: {e}"));
+                let reader = BufReader::new(stream.try_clone().expect("clone"));
+                (stream, reader)
+            })
+            .collect();
+        for round in 0..2 {
+            for (i, (stream, reader)) in conns.iter_mut().enumerate() {
+                stream.write_all(&encode_line(&Request::Ping)).expect("ping");
+                assert!(
+                    matches!(read_response(reader), Response::Pong { .. }),
+                    "{target} conn {i} round {round}"
+                );
+            }
         }
     }
-    drop(conns);
 
-    shutdown_via_fresh_conn(addr);
+    shutdown_via_fresh_conn(router);
+    router_thread.join().expect("router thread");
+    shutdown_via_fresh_conn(backend);
+    server.join().expect("server thread");
+}
+
+/// The router's front end frames requests exactly like the server: an
+/// oversized line and a truncated tail each get one typed `protocol`
+/// refusal before the close, and a pipelined burst on one socket is
+/// answered in request order.
+#[test]
+fn router_front_end_refuses_bad_framing_and_keeps_pipelined_order() {
+    let (backend, server) =
+        start_server(ServeConfig { workers: 2, jobs: test_jobs(), ..ServeConfig::default() });
+    let (router, router_thread) = start_router(backend);
+    let expect_refusal_then_eof = |reader: &mut BufReader<TcpStream>, needle: &str| {
+        let reply = read_response(reader);
+        let Response::Error(e) = reply else { panic!("expected a refusal, got {reply:?}") };
+        assert_eq!(e.kind, ErrorKind::Protocol, "{}", e.message);
+        assert!(e.message.contains(needle), "{}", e.message);
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).expect("eof"), 0, "must close after refusal");
+    };
+
+    // Past the line cap with no newline: refused, never buffered on.
+    let mut stream = TcpStream::connect(router).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).expect("oversized line");
+    expect_refusal_then_eof(&mut reader, &format!("exceeds {MAX_LINE_BYTES} bytes"));
+
+    // Half a request, then EOF: the lost bytes are named, not dropped.
+    let stream = TcpStream::connect(router).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    (&stream).write_all(b"{\"v\":1,\"type\":\"pi").expect("truncated request");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    expect_refusal_then_eof(&mut reader, "truncated request: EOF after 17 bytes");
+
+    // Open, then ping + explore + stats in one write: the replies come
+    // back in request order even though the explore is the slow one.
+    let mut stream = TcpStream::connect(router).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream
+        .write_all(&encode_line(&Request::Open {
+            session: "framed".into(),
+            params: open_params(SPEC, 1),
+        }))
+        .expect("open");
+    assert!(matches!(read_response(&mut reader), Response::Opened { .. }));
+    let mut burst = encode_line(&Request::Ping);
+    burst.extend(encode_line(&Request::Explore {
+        session: "framed".into(),
+        params: ExploreParams::default(),
+    }));
+    burst.extend(encode_line(&Request::Stats { session: Some("framed".into()) }));
+    stream.write_all(&burst).expect("pipelined burst");
+    let pong = read_response(&mut reader);
+    assert!(matches!(pong, Response::Pong { .. }), "{pong:?}");
+    let explored = read_response(&mut reader);
+    assert!(matches!(explored, Response::Explored { .. }), "{explored:?}");
+    let stats = read_response(&mut reader);
+    assert!(matches!(stats, Response::Stats { .. }), "{stats:?}");
+    drop((stream, reader));
+
+    shutdown_via_fresh_conn(router);
+    router_thread.join().expect("router thread");
+    shutdown_via_fresh_conn(backend);
     server.join().expect("server thread");
 }
 
