@@ -82,7 +82,7 @@ pub fn serve(opts: &ServeOptions) -> Result<RunStatus, Box<dyn Error>> {
             while !crate::signals::termination_requested() {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
-            handle.store(true, std::sync::atomic::Ordering::SeqCst);
+            handle.trigger();
         });
     }
     server.run()?;
@@ -127,7 +127,7 @@ pub fn router(opts: &RouterOptions) -> Result<RunStatus, Box<dyn Error>> {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
             // Tripping the gate wakes the health loop and any retry
-            // backoff mid-sleep; the accept loop notices within a poll.
+            // backoff mid-sleep; the reactor notices within a poll.
             handle.trigger();
         });
     }

@@ -369,8 +369,9 @@ impl SessionManager {
     }
 
     /// The one way a request enters the manager; returns its response.
-    /// The server dispatches `explore` through its worker pool instead
-    /// (and intercepts `shutdown`, which here only acknowledges).
+    /// The server calls it from its worker pool for `explore` and
+    /// `optimize` (and intercepts `shutdown`, which here only
+    /// acknowledges).
     ///
     /// A `req_id`-tagged mutation already in the dedup window is answered
     /// from its recorded outcome without being re-applied; fresh tagged

@@ -5,29 +5,27 @@
 //!
 //! * [`sys`] — raw `epoll`/`eventfd` FFI behind safe RAII wrappers (the
 //!   only `unsafe` in the crate).
-//! * Framing and timing helpers shared by the server and the router:
-//!   [`LineBuffer`] (incremental newline framing with an `O(n)` resume
-//!   scan), [`serve_blocking_lines`] (the router's thread-per-connection
-//!   read loop), [`POLL_INTERVAL`] and [`MAX_LINE_BYTES`] (previously
-//!   duplicated constants), and [`ShutdownGate`] (a Condvar-backed drain
+//! * Framing and timing helpers: [`LineBuffer`] (incremental newline
+//!   framing with an `O(n)` resume scan), [`POLL_INTERVAL`],
+//!   [`MAX_LINE_BYTES`], and [`ShutdownGate`] (a Condvar-backed drain
 //!   flag that *wakes* sleepers instead of letting them sleep-step).
-//! * [`reactor`] — the readiness-driven connection engine `chop serve`
-//!   runs on.
+//! * [`reactor`] — the readiness-driven connection engine both
+//!   `chop serve` and `chop router` run on; it alone frames requests, so
+//!   the line cap, truncation refusal and drain rules exist once.
 
 pub(crate) mod reactor;
 pub(crate) mod sys;
 
-use std::io::{ErrorKind as IoErrorKind, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::protocol::{ErrorKind, Response, ServiceError};
 
-/// How long blocked waits (the reactor's idle tick, the router's accept
-/// poll and per-connection read timeouts) run before re-checking
-/// shutdown and kill flags that may be flipped from outside the wait.
+/// How long blocked waits (the reactor's idle tick, the replication
+/// stream's event waits and its parked-standby poll) run before
+/// re-checking shutdown and kill flags that may be flipped from outside
+/// the wait.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Maximum bytes one request line may occupy. A client streaming data
@@ -38,12 +36,11 @@ pub const MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
 
 /// A drain flag that can *wake* waiters.
 ///
-/// The plain `Arc<AtomicBool>` drain handles forced every long sleep
-/// (the router's health-loop interval, client retry backoffs) to be
-/// chopped into [`POLL_INTERVAL`] steps so shutdown stayed responsive.
-/// This couples the flag with a Condvar: sleepers call
-/// [`wait_for`](ShutdownGate::wait_for) with their *full* interval and
-/// [`trigger`](ShutdownGate::trigger) interrupts them immediately.
+/// The one drain type of `chop serve` and `chop router`: the reactor
+/// polls [`is_triggered`](ShutdownGate::is_triggered) every tick, and
+/// long sleepers (the router's health loop, client retry backoffs) call
+/// [`wait_for`](ShutdownGate::wait_for) with their *full* interval,
+/// which [`trigger`](ShutdownGate::trigger) interrupts immediately.
 #[derive(Debug, Default)]
 pub struct ShutdownGate {
     triggered: AtomicBool,
@@ -174,80 +171,6 @@ pub(crate) fn refusal_line(kind: ErrorKind, message: String) -> Vec<u8> {
     let mut out = Response::Error(ServiceError::new(kind, message)).encode();
     out.push('\n');
     out.into_bytes()
-}
-
-/// The blocking thread-per-connection serving loop the router still
-/// uses: newline framing with the [`MAX_LINE_BYTES`] cap, a
-/// [`POLL_INTERVAL`] read timeout re-checking `gate`, and a typed
-/// protocol error before every server-initiated close (oversized line,
-/// truncated request). `respond` handles one trimmed, non-empty line.
-pub(crate) fn serve_blocking_lines<F>(stream: TcpStream, gate: &ShutdownGate, mut respond: F)
-where
-    F: FnMut(&str) -> Response,
-{
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let Ok(mut writer) = stream.try_clone() else { return };
-    let mut reader = stream;
-    let mut buf = LineBuffer::default();
-    let mut chunk = [0u8; 4096];
-    let refuse = |writer: &mut TcpStream, message: String| {
-        let _ = writer.write_all(&refusal_line(ErrorKind::Protocol, message));
-        let _ = writer.flush();
-    };
-    loop {
-        while let Some(line) = buf.next_line() {
-            if line.len() > MAX_LINE_BYTES {
-                // A completed line past the limit must be refused like a
-                // partial one — parsing it would let a newline smuggled
-                // at the end of a flood bypass the cap.
-                refuse(&mut writer, format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                return;
-            }
-            let text = String::from_utf8_lossy(line);
-            let text = text.trim();
-            if text.is_empty() {
-                continue;
-            }
-            let mut out = respond(text).encode();
-            out.push('\n');
-            if writer.write_all(out.as_bytes()).is_err() || writer.flush().is_err() {
-                return;
-            }
-        }
-        if buf.len() > MAX_LINE_BYTES {
-            refuse(&mut writer, format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-            return;
-        }
-        if gate.is_triggered() {
-            return;
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => {
-                if !buf.is_empty() {
-                    // The peer half-closed mid-request. Tell it what got
-                    // lost before closing instead of vanishing silently.
-                    refuse(
-                        &mut writer,
-                        format!(
-                            "truncated request: EOF after {} bytes with no newline",
-                            buf.len()
-                        ),
-                    );
-                }
-                return;
-            }
-            Ok(n) => buf.extend(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    IoErrorKind::WouldBlock | IoErrorKind::TimedOut | IoErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -42,11 +42,9 @@ use std::time::Duration;
 
 use crate::client::{Client, ClientError, Jitter, DEFAULT_CONNECT_TIMEOUT};
 use crate::manager::SessionManager;
+use crate::net::POLL_INTERVAL;
 use crate::protocol::{Request, Response, ServiceError};
 
-/// How long the stream thread sleeps between shutdown-flag polls when no
-/// events arrive (also the parked-standby poll cadence).
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// Smallest reconnect backoff; each retry sleeps a decorrelated-jitter
 /// draw from `INITIAL_BACKOFF..=3×previous`, capped at [`MAX_BACKOFF`] —
 /// many replicators recovering from the same outage spread out instead

@@ -17,18 +17,19 @@
 //! ```
 //!
 //! * **Scaling** — an idle connection costs a hash-map entry and an
-//!   epoll registration, not a thread and 10 wakeups/second. The old
-//!   thread-per-connection loop lives on only in `chop router`.
+//!   epoll registration, not a thread and 10 wakeups/second. `chop
+//!   router` runs on the same reactor and pool, so this is the one
+//!   serving core of both front ends.
 //! * **Backpressure** — an `explore` is admitted only while fewer than
 //!   `max_inflight` explorations are queued or running; past that the
 //!   client gets a typed [`Response::Busy`] immediately. A client that
 //!   stops *reading* gets per-connection backpressure instead: its
 //!   output queue caps, its reads pause, and its memory stays bounded.
-//! * **Panic isolation** — every request is handled under
-//!   `catch_unwind`, twice for explorations (once around the dispatch,
-//!   once inside the worker job), so one poisoned request produces one
-//!   `internal` error response and the server keeps serving.
-//! * **Graceful drain** — a `shutdown` request flips a shared flag; the
+//! * **Panic isolation** — the reactor handles every request under
+//!   `catch_unwind`, and the pool runs every job under it again, so one
+//!   poisoned request produces one `internal` error response and the
+//!   server keeps serving.
+//! * **Graceful drain** — a `shutdown` request trips a [`ShutdownGate`]; the
 //!   reactor stops accepting and reading, answers what is buffered
 //!   (waiting out dispatched explorations), flushes and closes every
 //!   connection, and [`Server::run`] returns `Ok(())` (the CLI maps
@@ -37,7 +38,6 @@
 //!   [`Server::shutdown_handle`].
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,8 +50,9 @@ use chop_core::prelude::{
 
 use crate::manager::{RecoveryReport, SessionManager};
 use crate::net::reactor::{LineHandler, LineOutcome, Reactor, ReactorConfig};
-use crate::pool::{Admission, Completions, WorkerPool};
-use crate::protocol::{ErrorKind, Request, Response, ServiceError};
+use crate::net::ShutdownGate;
+use crate::pool::{Admission, WorkerPool};
+use crate::protocol::{Request, Response};
 use crate::replication::Replicator;
 
 /// Server tuning knobs.
@@ -129,7 +130,7 @@ impl Default for ServeConfig {
 pub struct Server {
     listener: TcpListener,
     manager: Arc<SessionManager>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownGate>,
     config: ServeConfig,
     recovery: Option<RecoveryReport>,
     cache_warmed: Option<SnapshotLoaded>,
@@ -190,7 +191,7 @@ impl Server {
         Ok(Self {
             listener,
             manager: Arc::new(manager),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::new(ShutdownGate::new()),
             config,
             recovery,
             cache_warmed,
@@ -228,12 +229,12 @@ impl Server {
         Arc::clone(&self.manager)
     }
 
-    /// The drain flag: storing `true` makes [`run`](Server::run) stop
-    /// accepting, drain and return. The wire `shutdown` request sets the
-    /// same flag; this handle exists for embedders (e.g. a signal hook).
+    /// The drain gate: tripping it makes [`run`](Server::run) stop
+    /// accepting, drain and return. The wire `shutdown` request trips the
+    /// same gate; this handle exists for embedders (e.g. a signal hook).
     /// The reactor re-checks it at least every poll interval.
     #[must_use]
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
+    pub fn shutdown_handle(&self) -> Arc<ShutdownGate> {
         Arc::clone(&self.shutdown)
     }
 
@@ -259,12 +260,9 @@ impl Server {
             .peer
             .as_ref()
             .map(|addr| Replicator::start(Arc::clone(&self.manager), addr.clone()));
-        let pool = Arc::new(WorkerPool::new(self.config.workers));
-        let completions = Arc::new(Completions::new()?);
         let dispatch = Dispatch {
             manager: Arc::clone(&self.manager),
-            pool: Arc::clone(&pool),
-            completions: Arc::clone(&completions),
+            pool: WorkerPool::new(self.config.workers)?,
             admission: Arc::new(Admission::new(self.config.max_inflight)),
             shutdown: Arc::clone(&self.shutdown),
         };
@@ -272,7 +270,7 @@ impl Server {
             .then(|| Duration::from_millis(self.config.idle_timeout_ms));
         let reactor = Reactor::new(
             self.listener,
-            completions,
+            dispatch.pool.completions(),
             Arc::clone(&self.shutdown),
             #[cfg(feature = "fault-inject")]
             Some(Arc::clone(&self.kill)),
@@ -336,10 +334,7 @@ impl Server {
             stop_snapshots(false);
             return result;
         }
-        drop(dispatch);
-        if let Ok(pool) = Arc::try_unwrap(pool) {
-            pool.shutdown();
-        }
+        dispatch.pool.shutdown();
         // Graceful drain: persist the cache exactly once more, after the
         // pool finished every in-flight explore.
         stop_snapshots(true);
@@ -353,113 +348,45 @@ impl Server {
 /// its reply back through the completion queue.
 struct Dispatch {
     manager: Arc<SessionManager>,
-    pool: Arc<WorkerPool>,
-    completions: Arc<Completions>,
+    pool: WorkerPool,
     admission: Arc<Admission>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownGate>,
 }
 
 impl LineHandler for Dispatch {
+    /// Decodes and dispatches: `shutdown` trips the drain gate,
+    /// `explore` and `optimize` go through admission control and the
+    /// worker pool, everything else is answered inline by the manager.
     fn handle_line(&self, conn: u64, line: &str) -> LineOutcome {
-        match catch_unwind(AssertUnwindSafe(|| self.route(conn, line))) {
-            Ok(outcome) => outcome,
-            Err(payload) => LineOutcome::Reply(Response::Error(ServiceError::new(
-                ErrorKind::Internal,
-                format!("request handler panicked: {}", panic_message(&payload)),
-            ))),
-        }
-    }
-}
-
-impl Dispatch {
-    /// Decodes and dispatches: `shutdown` flips the drain flag,
-    /// `explore` goes through admission control and the worker pool,
-    /// everything else is answered inline by the manager.
-    fn route(&self, conn: u64, line: &str) -> LineOutcome {
         let (request, req_id) = match Request::decode_tagged(line) {
             Ok(decoded) => decoded,
             Err(e) => return LineOutcome::Reply(Response::Error(e)),
         };
-        match request {
+        let label = match request {
             Request::Shutdown => {
-                self.shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-                LineOutcome::Reply(Response::ShuttingDown)
+                self.shutdown.trigger();
+                return LineOutcome::Reply(Response::ShuttingDown);
             }
-            Request::Explore { session, params } => {
-                let Some(token) = self.admission.try_acquire() else {
-                    return LineOutcome::Reply(self.admission.busy_reply());
-                };
-                let manager = Arc::clone(&self.manager);
-                let completions = Arc::clone(&self.completions);
-                let job = Box::new(move || {
-                    let _token = token;
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| manager.explore(&session, &params)));
-                    let response = match result {
-                        Ok(Ok(run)) => Response::Explored { session, run },
-                        Ok(Err(e)) => Response::Error(e),
-                        Err(payload) => Response::Error(ServiceError::new(
-                            ErrorKind::Internal,
-                            format!("exploration panicked: {}", panic_message(&payload)),
-                        )),
-                    };
-                    completions.push(conn, response);
-                });
-                if self.pool.execute(job).is_err() {
-                    return LineOutcome::Reply(Response::Error(ServiceError::new(
-                        ErrorKind::Internal,
-                        "server is shutting down",
-                    )));
-                }
-                LineOutcome::Dispatched
-            }
-            // Optimize is CPU-bound like explore, so it shares the pool
-            // and the admission window. The full request is re-dispatched
-            // through the manager inside the job: that is where standby
-            // refusal, `req_id` dedup and journaling of the accepted
-            // trace live.
-            request @ Request::Optimize { .. } => {
-                let Some(token) = self.admission.try_acquire() else {
-                    return LineOutcome::Reply(self.admission.busy_reply());
-                };
-                let manager = Arc::clone(&self.manager);
-                let completions = Arc::clone(&self.completions);
-                let job = Box::new(move || {
-                    let _token = token;
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        manager.dispatch_tagged(&request, req_id.as_deref())
-                    }));
-                    let response = result.unwrap_or_else(|payload| {
-                        Response::Error(ServiceError::new(
-                            ErrorKind::Internal,
-                            format!("optimization panicked: {}", panic_message(&payload)),
-                        ))
-                    });
-                    completions.push(conn, response);
-                });
-                if self.pool.execute(job).is_err() {
-                    return LineOutcome::Reply(Response::Error(ServiceError::new(
-                        ErrorKind::Internal,
-                        "server is shutting down",
-                    )));
-                }
-                LineOutcome::Dispatched
-            }
+            Request::Explore { .. } => "exploration",
+            Request::Optimize { .. } => "optimization",
             other => {
-                LineOutcome::Reply(self.manager.dispatch_tagged(&other, req_id.as_deref()))
+                return LineOutcome::Reply(
+                    self.manager.dispatch_tagged(&other, req_id.as_deref()),
+                )
             }
-        }
-    }
-}
-
-/// Best-effort panic payload extraction.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_owned()
+        };
+        // Explore and optimize are CPU-bound, so they share the pool and
+        // the admission window. The full request is dispatched through
+        // the manager inside the job: that is where standby refusal,
+        // `req_id` dedup and journaling of an accepted optimize live.
+        let Some(token) = self.admission.try_acquire() else {
+            return LineOutcome::Reply(self.admission.busy_reply());
+        };
+        let manager = Arc::clone(&self.manager);
+        self.pool.submit(conn, label, move || {
+            let _token = token;
+            manager.dispatch_tagged(&request, req_id.as_deref())
+        })
     }
 }
 
@@ -467,6 +394,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::net::MAX_LINE_BYTES;
+    use crate::protocol::{ErrorKind, ServiceError};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
