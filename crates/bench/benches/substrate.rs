@@ -4,7 +4,6 @@
 
 use chop_dfg::benchmarks::{self, random_layered, RandomDfgParams};
 use chop_dfg::OpClass;
-use chop_sched::force::force_directed_schedule;
 use chop_sched::urgency::{ResourceId, SchedulePolicy, TaskGraph};
 use chop_sched::{list_schedule, ListPlan, NodeSpec, ResourceMap};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -91,19 +90,6 @@ fn bench_urgency(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_force_directed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("force_directed");
-    group.sample_size(10);
-    let ar = benchmarks::ar_lattice_filter();
-    let specs = NodeSpec::uniform(&ar, 1);
-    for budget in [6u64, 10, 16] {
-        group.bench_function(format!("ar_latency{budget}"), |b| {
-            b.iter(|| black_box(force_directed_schedule(&ar, &specs, budget).expect("fds")));
-        });
-    }
-    group.finish();
-}
-
 fn bench_workloads(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_generation");
     group.bench_function("ar_filter", |b| {
@@ -113,11 +99,5 @@ fn bench_workloads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_list_schedule,
-    bench_urgency,
-    bench_force_directed,
-    bench_workloads
-);
+criterion_group!(benches, bench_list_schedule, bench_urgency, bench_workloads);
 criterion_main!(benches);

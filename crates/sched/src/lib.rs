@@ -38,7 +38,6 @@
 
 mod bounds;
 mod flat;
-pub mod force;
 pub mod lifetime;
 mod list;
 pub mod pipeline;

@@ -2,7 +2,6 @@
 
 use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
 use chop_dfg::OpClass;
-use chop_sched::force::force_directed_schedule;
 use chop_sched::lifetime::{max_live_bits, max_live_bits_pipelined};
 use chop_sched::pipeline::{min_initiation_interval, supports_ii};
 use chop_sched::{alap_times, asap_times, list_schedule, NodeSpec, ResourceMap};
@@ -109,31 +108,5 @@ proptest! {
         let flat = max_live_bits(&g, &s);
         let folded = max_live_bits_pipelined(&g, &s, ii);
         prop_assert!(folded.value() >= flat.value() || ii >= s.makespan().max(1));
-    }
-
-    #[test]
-    fn fds_never_exceeds_latency_budget(
-        (seed, params) in arb_workload(),
-        slack in 0u64..6,
-    ) {
-        let g = random_layered(seed, params);
-        let specs = NodeSpec::uniform(&g, 1);
-        let asap = asap_times(&g, &specs);
-        let critical = g
-            .node_ids()
-            .map(|id| asap[id.index()] + specs.duration(id))
-            .max()
-            .unwrap_or(1);
-        let budget = critical + slack;
-        let (s, alloc) = force_directed_schedule(&g, &specs, budget).unwrap();
-        prop_assert!(s.makespan() <= budget);
-        for (_, e) in g.edges() {
-            prop_assert!(s.finish(e.src()) <= s.start(e.dst()));
-        }
-        // The implied allocation admits the schedule by construction.
-        for (class, n) in alloc.iter() {
-            prop_assert!(n >= 1);
-            let _ = class;
-        }
     }
 }
