@@ -1,4 +1,5 @@
-//! Raw `epoll(7)` and `eventfd(2)` bindings with safe RAII wrappers.
+//! Raw `epoll(7)` and `eventfd(2)` bindings with safe RAII wrappers,
+//! plus a one-call non-blocking socket peek.
 //!
 //! The approved dependency list has no `libc` or async runtime, so this
 //! module talks to the three epoll syscall wrappers and `eventfd`
@@ -33,6 +34,8 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EFD_CLOEXEC: c_int = 0o200_0000;
 const EFD_NONBLOCK: c_int = 0o4000;
+const MSG_PEEK: c_int = 0x02;
+const MSG_DONTWAIT: c_int = 0x40;
 
 /// One readiness record, kernel layout. x86 and x86-64 declare the
 /// struct packed in the kernel UAPI headers (`EPOLL_PACKED`); other
@@ -61,6 +64,23 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+}
+
+/// Peeks one byte of `fd` without blocking and without consuming it,
+/// whatever the socket's blocking mode: `Ok(1)` when data is waiting,
+/// `Ok(0)` at EOF, `WouldBlock` on a live, quiet socket.
+pub(crate) fn peek_byte(fd: RawFd) -> io::Result<usize> {
+    let mut byte = 0u8;
+    // SAFETY: recv writes at most `len` (1) bytes into the valid u8;
+    // MSG_PEEK leaves the socket's queue untouched and MSG_DONTWAIT
+    // makes this one call non-blocking without touching O_NONBLOCK on
+    // the (possibly shared) open file description.
+    let n = unsafe { recv(fd, (&raw mut byte).cast::<c_void>(), 1, MSG_PEEK | MSG_DONTWAIT) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(n.unsigned_abs())
 }
 
 /// An owned epoll instance.
@@ -251,5 +271,26 @@ mod tests {
         epoll.delete(server_side.as_raw_fd()).expect("delete");
         let n = epoll.wait(&mut events, Duration::from_millis(10)).expect("wait");
         assert_eq!(n, 0, "deleted fd must not report");
+    }
+
+    #[test]
+    fn peek_byte_tells_quiet_from_data_and_eof() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = std::net::TcpStream::connect(listener.local_addr().expect("addr"))
+            .expect("connect");
+        let (mut server_side, _) = listener.accept().expect("accept");
+        let fd = client.as_raw_fd();
+        // A blocking socket with nothing queued must not block.
+        let err = peek_byte(fd).expect_err("quiet socket");
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        server_side.write_all(b"x").expect("write");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(peek_byte(fd).expect("data"), 1);
+        assert_eq!(peek_byte(fd).expect("still there: peek consumes nothing"), 1);
+        drop(server_side);
+        let mut sink = [0u8; 1];
+        std::io::Read::read_exact(&mut &client, &mut sink).expect("read the byte");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(peek_byte(fd).expect("eof"), 0);
     }
 }
