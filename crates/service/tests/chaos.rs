@@ -3,17 +3,18 @@
 //! requests, and crash/recovery runs that must reproduce byte-identical
 //! digests. Compiled only with `--features fault-inject`.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chop_core::prelude::Heuristic;
 use chop_service::chaos::{ChaosProxy, ConnFault};
 use chop_service::{
-    build_session, BackendSpec, Client, ClientError, ErrorKind, ExploreParams, OpenParams,
-    Replicator, Request, Response, RetryPolicy, Router, RouterConfig, ServeConfig, Server,
-    ServiceError, SessionManager,
+    build_session, BackendSpec, Client, ClientError, ErrorKind, ExploreParams, HashRing,
+    OpenParams, Replicator, Request, Response, RetryPolicy, Router, RouterConfig, ServeConfig,
+    Server, ServiceError, SessionManager,
 };
 
 const SPEC: &str = "a = input 16\nb = input 16\np = mul a b\ns = add p a\ny = output s\n";
@@ -944,4 +945,111 @@ fn torn_journal_tail_loses_only_the_torn_record() {
         "only the session before the torn record survives"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pair whose backend stalls must tie up only its own router jobs.
+/// Pair A sits behind a proxy that black-holes every connection for a
+/// few seconds and receives more concurrent requests than a pair may
+/// have in flight (128); the overflow is answered `busy` at once, and
+/// meanwhile a session on pair B and `router_status` answer promptly.
+#[test]
+fn stalled_pair_ties_up_only_its_own_router_jobs() {
+    const STALL_MS: u64 = 5_000;
+    const BURST: usize = 136;
+    let (addr_a, server_a) = start_server(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let (addr_b, server_b) = start_server(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let proxy = ChaosProxy::start(addr_a).expect("proxy");
+    for _ in 0..BURST {
+        proxy.push_fault(ConnFault::StallMs(STALL_MS));
+    }
+    let (label_a, label_b) = (proxy.addr().to_string(), addr_b.to_string());
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig {
+            pairs: vec![
+                BackendSpec { primary: label_a.clone(), standby: None },
+                BackendSpec { primary: label_b.clone(), standby: None },
+            ],
+            // Only the request path talks to the backends here.
+            health_interval: Duration::from_secs(60),
+        },
+    )
+    .expect("bind router");
+    let router_addr = router.local_addr().expect("router addr");
+    let router_thread = thread::spawn(move || router.run().expect("router runs"));
+
+    // Session names by pair, on the router's ring (64 points per pair).
+    let ring = HashRing::new(vec![label_a.clone(), label_b.clone()], 64);
+    let on = |label: &str| {
+        (0..).map(|i| format!("s{i}")).find(|s| ring.assign_label(s) == Some(label)).unwrap()
+    };
+    let (session_a, session_b) = (on(&label_a), on(&label_b));
+
+    // The burst: one connection per request, so all of them are in
+    // flight at once.
+    let started = Instant::now();
+    let (replies, received) = std::sync::mpsc::channel();
+    let readers: Vec<_> = (0..BURST)
+        .map(|_| {
+            let mut stream = TcpStream::connect(router_addr).expect("connect router");
+            let line = Request::Stats { session: Some(session_a.clone()) }.encode();
+            writeln!(stream, "{line}").expect("send");
+            let replies = replies.clone();
+            thread::spawn(move || {
+                let mut reply = String::new();
+                BufReader::new(stream).read_line(&mut reply).expect("reply");
+                let reply = Response::decode(reply.trim_end()).expect("decodable reply");
+                replies.send((reply, started.elapsed())).expect("collector");
+            })
+        })
+        .collect();
+    drop(replies);
+    let busy = (0..BURST - 128)
+        .map(|_| received.recv_timeout(Duration::from_secs(2)).expect("an immediate busy").0)
+        .collect::<Vec<_>>();
+    for reply in &busy {
+        assert!(
+            matches!(reply, Response::Busy { max_inflight: 128, .. }),
+            "past its budget pair A must answer busy at once: {reply:?}"
+        );
+    }
+
+    // Pair A's budget is spent and its jobs are stalled; pair B and the
+    // admin path do not wait for them.
+    let mut client = Client::connect(router_addr).expect("connect router");
+    let opened = client
+        .request(&Request::Open { session: session_b.clone(), params: open_params(SPEC, 2) })
+        .expect("open on pair B");
+    assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+    assert!(!explored_digest(&mut client, &session_b).is_empty());
+    let status = client.request(&Request::RouterStatus).expect("router_status");
+    assert!(matches!(status, Response::RouterStatus { .. }), "{status:?}");
+    let served = started.elapsed();
+    assert!(
+        served < Duration::from_millis(STALL_MS / 2),
+        "pair B and router_status waited {served:?} on pair A's stalled backend"
+    );
+
+    // Once the stall lifts, every admitted request is answered by pair A.
+    for reader in readers {
+        reader.join().expect("reader");
+    }
+    let late: Vec<_> = received.iter().collect();
+    assert_eq!(late.len(), 128);
+    for (reply, at) in &late {
+        assert!(
+            matches!(reply, Response::Error(e) if e.kind == ErrorKind::UnknownSession),
+            "{reply:?}"
+        );
+        assert!(*at >= Duration::from_millis(STALL_MS), "answered before the stall lifted");
+    }
+
+    assert_eq!(client.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
+    router_thread.join().expect("router thread");
+    drop(proxy);
+    for (addr, handle) in [(addr_a, server_a), (addr_b, server_b)] {
+        let mut direct = Client::connect(addr).expect("backend connect");
+        direct.request(&Request::Shutdown).expect("backend shutdown");
+        handle.join().expect("backend thread");
+    }
 }
