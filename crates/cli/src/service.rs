@@ -1,6 +1,8 @@
 //! The `chop serve`, `chop router` and `chop client` subcommands.
 
 use std::error::Error;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write as _};
 
 use chop_core::prelude::{Heuristic, MoveKind};
 use chop_service::{
@@ -181,7 +183,23 @@ pub fn client(argv: &[String]) -> Result<RunStatus, Box<dyn Error>> {
             )?
         }
     };
-    render_response(&response)
+    let mut out = String::new();
+    let status = render_response(&mut out, &response);
+    write_stdout(&out)?;
+    status
+}
+
+/// Writes a rendered reply to stdout. A reader that closes the pipe early
+/// (`chop client <addr> stats | head -1`) is no error: the reply arrived
+/// and only its printing was cut short. The Rust runtime ignores SIGPIPE,
+/// which the servers rely on, so the closed pipe shows up here as
+/// `BrokenPipe` rather than killing the process.
+fn write_stdout(text: &str) -> io::Result<()> {
+    let mut stdout = io::stdout().lock();
+    match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        done => done,
+    }
 }
 
 /// Strips leading `--retry` / `--retry-ms <N>` flags (before `<addr>`),
@@ -430,31 +448,31 @@ fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, ArgError
     text.parse().map_err(|_| ArgError(format!("bad value for {flag}")))
 }
 
-/// Prints a response and maps it to an exit status. Typed server errors
-/// become process errors (exit 1); an `explored` reply reuses the
-/// feasible/infeasible/truncated exit-code table.
-fn render_response(response: &Response) -> Result<RunStatus, Box<dyn Error>> {
+/// Renders a response into `out` and maps it to an exit status. Typed
+/// server errors become process errors (exit 1); an `explored` reply
+/// reuses the feasible/infeasible/truncated exit-code table.
+fn render_response(out: &mut String, response: &Response) -> Result<RunStatus, Box<dyn Error>> {
     match response {
         Response::Pong { version, role, epoch, peer } => {
             match role.as_deref() {
                 Some(role) => {
                     let peer = peer.as_deref().map_or(String::new(), |p| format!(", peer {p}"));
-                    println!("pong (protocol v{version}, {role} at epoch {epoch}{peer})");
+                    writeln!(out, "pong (protocol v{version}, {role} at epoch {epoch}{peer})")?;
                 }
-                None => println!("pong (protocol v{version})"),
+                None => writeln!(out, "pong (protocol v{version})")?,
             }
             Ok(RunStatus::Feasible)
         }
         Response::Opened { session, partitions } => {
-            println!("opened session {session:?} with {partitions} partition(s)");
+            writeln!(out, "opened session {session:?} with {partitions} partition(s)")?;
             Ok(RunStatus::Feasible)
         }
         Response::Explored { session, run } => {
-            print_run(session, run);
+            write_run(out, session, run)?;
             Ok(run_status(run))
         }
         Response::Optimized { session, result } => {
-            print_optimize(session, result);
+            write_optimize(out, session, result)?;
             Ok(if result.completion.is_truncated() {
                 RunStatus::Truncated
             } else if result.feasible {
@@ -464,41 +482,48 @@ fn render_response(response: &Response) -> Result<RunStatus, Box<dyn Error>> {
             })
         }
         Response::MovesApplied { session, moves } => {
-            println!("session {session:?}: {moves} move(s) applied");
+            writeln!(out, "session {session:?}: {moves} move(s) applied")?;
             Ok(RunStatus::Feasible)
         }
         Response::Repartitioned { session, node, to } => {
-            println!("session {session:?}: node {node} moved to partition {to}");
+            writeln!(out, "session {session:?}: node {node} moved to partition {to}")?;
             Ok(RunStatus::Feasible)
         }
         Response::ConstraintsSet { session, performance_ns, delay_ns } => {
-            println!(
+            writeln!(
+                out,
                 "session {session:?}: constraints set (perf {performance_ns} ns, \
                  delay {delay_ns} ns)"
-            );
+            )?;
             Ok(RunStatus::Feasible)
         }
         Response::Stats { sessions, cache, shard_entries, last_run } => {
-            println!("sessions ({}): {}", sessions.len(), sessions.join(", "));
-            println!(
+            writeln!(out, "sessions ({}): {}", sessions.len(), sessions.join(", "))?;
+            writeln!(
+                out,
                 "shared cache: {} hit(s), {} miss(es), {} eviction(s), {} entries (~{} B)",
                 cache.hits, cache.misses, cache.evictions, cache.entries, cache.bytes
-            );
+            )?;
             if !shard_entries.is_empty() {
                 let rendered: Vec<String> = shard_entries.iter().map(u64::to_string).collect();
-                println!("cache shards ({}): [{}]", shard_entries.len(), rendered.join(", "));
+                writeln!(
+                    out,
+                    "cache shards ({}): [{}]",
+                    shard_entries.len(),
+                    rendered.join(", ")
+                )?;
             }
             if let Some(run) = last_run {
-                print_run("last run", run);
+                write_run(out, "last run", run)?;
             }
             Ok(RunStatus::Feasible)
         }
         Response::Closed { session } => {
-            println!("closed session {session:?}");
+            writeln!(out, "closed session {session:?}")?;
             Ok(RunStatus::Feasible)
         }
         Response::ShuttingDown => {
-            println!("server draining");
+            writeln!(out, "server draining")?;
             Ok(RunStatus::Feasible)
         }
         Response::Busy { inflight, max_inflight, retry_after_ms } => {
@@ -508,46 +533,47 @@ fn render_response(response: &Response) -> Result<RunStatus, Box<dyn Error>> {
             ))))
         }
         Response::Promoted { sessions, epoch } => {
-            println!("promoted to primary at epoch {epoch} ({sessions} session(s) live)");
+            writeln!(out, "promoted to primary at epoch {epoch} ({sessions} session(s) live)")?;
             Ok(RunStatus::Feasible)
         }
         Response::PairAdded { pairs } => {
-            println!("pair added; ring now ({}): {}", pairs.len(), pairs.join(", "));
+            writeln!(out, "pair added; ring now ({}): {}", pairs.len(), pairs.join(", "))?;
             Ok(RunStatus::Feasible)
         }
         Response::PairRemoved { pairs } => {
-            println!("pair removed; ring now ({}): {}", pairs.len(), pairs.join(", "));
+            writeln!(out, "pair removed; ring now ({}): {}", pairs.len(), pairs.join(", "))?;
             Ok(RunStatus::Feasible)
         }
         Response::RouterStatus { pairs } => {
-            println!("router pairs ({}):", pairs.len());
+            writeln!(out, "router pairs ({}):", pairs.len())?;
             for line in pairs {
-                println!("  {line}");
+                writeln!(out, "  {line}")?;
             }
             Ok(RunStatus::Feasible)
         }
         Response::Exported { session, records } => {
-            println!("exported session {session:?} ({} record(s))", records.len());
+            writeln!(out, "exported session {session:?} ({} record(s))", records.len())?;
             for record in records {
-                println!("{record}");
+                writeln!(out, "{record}")?;
             }
             Ok(RunStatus::Feasible)
         }
         Response::Imported { session, records } => {
-            println!("imported session {session:?} ({records} record(s) applied)");
+            writeln!(out, "imported session {session:?} ({records} record(s) applied)")?;
             Ok(RunStatus::Feasible)
         }
         Response::ReplAck { seq } => {
             // Only replication streams see acks; printed for completeness.
-            println!("replication ack through seq {seq}");
+            writeln!(out, "replication ack through seq {seq}")?;
             Ok(RunStatus::Feasible)
         }
         Response::Error(e) => Err(Box::new(e.clone())),
     }
 }
 
-fn print_run(label: &str, run: &RunSummary) {
-    println!(
+fn write_run(out: &mut String, label: &str, run: &RunSummary) -> fmt::Result {
+    writeln!(
+        out,
         "{label}: heuristic {} — {} trials, {} feasible trials, {} implementation(s), \
          {} ({}{:.2} ms)",
         run.heuristic,
@@ -557,20 +583,23 @@ fn print_run(label: &str, run: &RunSummary) {
         run.completion,
         if run.degraded { "degraded, " } else { "" },
         run.elapsed_ms,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {} predictor call(s), {} cache hit(s), {} miss(es)",
         run.predictor_calls, run.cache_hits, run.cache_misses
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {} subtree(s) skipped, {} combination(s) never visited",
         run.subtrees_skipped, run.combinations_skipped
-    );
-    println!("  digest {}", run.digest);
+    )?;
+    writeln!(out, "  digest {}", run.digest)
 }
 
-fn print_optimize(session: &str, result: &OptimizeSummary) {
-    println!(
+fn write_optimize(out: &mut String, session: &str, result: &OptimizeSummary) -> fmt::Result {
+    writeln!(
+        out,
         "session {session:?}: {} move(s) accepted over {} pass(es), {} kick(s), \
          {} evaluation(s), {}",
         result.moves.len(),
@@ -578,18 +607,18 @@ fn print_optimize(session: &str, result: &OptimizeSummary) {
         result.kicks,
         result.evaluations,
         result.completion,
-    );
-    println!("  score: {:.3} -> {:.3}", result.initial_score, result.final_score);
+    )?;
+    writeln!(out, "  score: {:.3} -> {:.3}", result.initial_score, result.final_score)?;
     for mv in &result.moves {
         let nodes = mv.nodes.iter().map(ToString::to_string).collect::<Vec<_>>().join("+");
         let kind = match mv.kind {
             MoveKind::Gain => "gain",
             MoveKind::Kick => "kick",
         };
-        println!("  pass {} {kind}: node {nodes} {} -> {}", mv.pass, mv.from, mv.to);
+        writeln!(out, "  pass {} {kind}: node {nodes} {} -> {}", mv.pass, mv.from, mv.to)?;
     }
-    print_run("final state", &result.run);
-    println!("  optimize digest {}", result.digest);
+    write_run(out, "final state", &result.run)?;
+    writeln!(out, "  optimize digest {}", result.digest)
 }
 
 fn run_status(run: &RunSummary) -> RunStatus {

@@ -123,6 +123,28 @@ fn client_reports_typed_errors_with_exit_code_1() {
     assert!(server.wait().expect("wait").success());
 }
 
+/// A reader that closes the pipe early (`chop client <addr> stats | head
+/// -1`) ends the client quietly: exit 0, and no panic on stderr.
+#[test]
+fn client_exits_quietly_when_its_reader_closes_early() {
+    let (mut server, addr, _stdout) = spawn_server(&[]);
+    let mut client = chop()
+        .args(["client", &addr, "stats"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn chop client");
+    // Close the read end before the reply can arrive, so the client's
+    // every write meets a pipe with no reader.
+    drop(client.stdout.take());
+    let output = client.wait_with_output().expect("wait for chop client");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(output.status.success(), "client exited with {:?}: {stderr}", output.status);
+    assert!(client_ok(&addr, &["shutdown"]).contains("draining"));
+    assert!(server.wait().expect("wait for server").success());
+}
+
 /// SIGTERM must be the same graceful drain as a wire `shutdown`: exit
 /// code 0 and the drained farewell on stdout (journal flushed, nothing
 /// killed mid-write).

@@ -48,17 +48,28 @@ use self::scorer::BatchScorer;
 use self::trace::TraceRecorder;
 
 /// Runs the full staged pipeline for one session (see the module docs).
+///
+/// `known[p]` is partition `p`'s structural hash when the caller knows it
+/// (partitions past `known.len()` are unknown): a known hash keys the
+/// cache lookup without extracting the partition's DFG, which is then
+/// extracted only to predict on a miss. Returns the outcome and, per
+/// partition, the hash its cache key used (`None` when the cache was
+/// bypassed or the stage stopped before it), so a caller can carry the
+/// hashes of partitions it leaves untouched into the next exploration.
+/// Keys, lookups and results are the same as with nothing carried.
 pub(crate) fn explore(
     session: &Session,
     requested: Heuristic,
-) -> Result<SearchOutcome, ChopError> {
+    known: &[Option<u64>],
+) -> Result<(SearchOutcome, Vec<Option<u64>>), ChopError> {
     let timer = BudgetTimer::start(session.budget);
     let trace = TraceRecorder::new(session.jobs);
     let cache_before = session.cache.stats();
 
-    let predicted = predict::predict_stage(session, &timer, &trace)?;
+    let predicted = predict::predict_stage(session, known, &timer, &trace)?;
+    let hashes = predicted.hashes;
     if let Some(status) = predicted.truncated {
-        return Ok(SearchOutcome {
+        let outcome = SearchOutcome {
             heuristic: requested,
             feasible: Vec::new(),
             trials: 0,
@@ -71,7 +82,8 @@ pub(crate) fn explore(
             predictions: predicted.lists,
             trace: trace.snapshot(),
             cache: session.cache.stats().since(&cache_before),
-        });
+        };
+        return Ok((outcome, hashes));
     }
 
     let ctx = IntegrationContext::new(
@@ -132,7 +144,7 @@ pub(crate) fn explore(
     } else {
         Completion::Complete
     };
-    Ok(SearchOutcome {
+    let outcome = SearchOutcome {
         heuristic: effective,
         feasible: result.feasible,
         trials: result.trials,
@@ -145,7 +157,8 @@ pub(crate) fn explore(
         predictions: predicted.lists,
         trace: trace.snapshot(),
         cache: session.cache.stats().since(&cache_before),
-    })
+    };
+    Ok((outcome, hashes))
 }
 
 /// Heuristic E's search-space size: the product of surviving per-partition

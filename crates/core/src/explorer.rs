@@ -543,7 +543,8 @@ impl Session {
     /// for the offending partition only.
     pub fn predict_partitions(&self) -> Result<PartitionPredictions, ChopError> {
         let trace = TraceRecorder::new(self.jobs);
-        let output = engine::predict::predict_stage(self, &BudgetTimer::unlimited(), &trace)?;
+        let output =
+            engine::predict::predict_stage(self, &[], &BudgetTimer::unlimited(), &trace)?;
         Ok((output.lists, output.stats))
     }
 
@@ -569,7 +570,7 @@ impl Session {
     /// failures; an infeasible partitioning is a normal outcome with an
     /// empty `feasible` list.
     pub fn explore(&self, heuristic: Heuristic) -> Result<SearchOutcome, ChopError> {
-        engine::explore(self, heuristic)
+        engine::explore(self, heuristic, &[]).map(|(outcome, _)| outcome)
     }
 }
 

@@ -9,7 +9,10 @@
 //! candidate through the ordinary cache-backed engine. Because a move
 //! changes exactly two partitions, a warm evaluation re-predicts only
 //! those two and serves the rest from the shared
-//! [`PredictionCache`](crate::cache::PredictionCache).
+//! [`PredictionCache`](crate::cache::PredictionCache). The structural
+//! hashes that key the other partitions' entries are carried over from
+//! the current state, so an evaluation extracts and hashes only the two
+//! moved partitions' DFGs (and any partition whose entry was evicted).
 //!
 //! The bookkeeping between evaluations follows FM: per unit and
 //! partition the search keeps the cut bits on the unit's incident edges,
@@ -17,6 +20,16 @@
 //! updates only its neighbours' rows. Legality (the source partition
 //! keeps a node, no mutual dependency appears) is decided on the moved
 //! grouping before any session is derived.
+//!
+//! A step costs only what changed since the last accepted move. The
+//! ranked candidate list depends only on the current state, so it is
+//! built once per state — at the start and on every accepted move — and
+//! kicks draw from the same list. A gain pass walks it with a cursor:
+//! while the state is unchanged, every entry before the cursor is locked
+//! or still fails the legality check, so the next candidate is found by
+//! resuming after the last evaluated one rather than re-checking the
+//! list from the top. The cursor rewinds to the top when a move is
+//! accepted and when a new pass unlocks every unit.
 //!
 //! When a pass accepts nothing (a plateau), an optional simulated-
 //! annealing *kick* — seeded exclusively from the caller-supplied seed —
@@ -44,6 +57,7 @@ use std::time::Duration;
 use chop_dfg::{Dfg, NodeId, Operation};
 
 use crate::budget::{BudgetTimer, Completion, SearchBudget};
+use crate::engine;
 use crate::error::ChopError;
 use crate::explorer::{Heuristic, SearchOutcome, Session};
 use crate::spec::{PartitionId, Partitioning};
@@ -430,6 +444,7 @@ impl MoveUnit {
 }
 
 /// A move candidate: `unit` to partition `to`.
+#[derive(Clone, Copy)]
 struct Candidate {
     unit: usize,
     from: PartitionId,
@@ -506,6 +521,15 @@ impl CutWeights {
     }
 }
 
+/// An evaluated candidate state.
+struct Evaluated {
+    session: Session,
+    outcome: SearchOutcome,
+    score: f64,
+    /// Per partition, the structural hash its cache key used.
+    hashes: Vec<Option<u64>>,
+}
+
 /// The running search state shared by passes and kicks.
 struct Search<'a> {
     spec: &'a OptimizeSpec,
@@ -516,6 +540,12 @@ struct Search<'a> {
     current: Session,
     outcome: SearchOutcome,
     score: f64,
+    /// Per partition, the structural hash the current state's cache key
+    /// used; a candidate carries all but its two partitions' hashes.
+    hashes: Vec<Option<u64>>,
+    /// The current state's ranked candidates ([`Search::rank`]), rebuilt
+    /// only when the state changes ([`Search::accept`]).
+    ranked: Vec<Candidate>,
 }
 
 impl Search<'_> {
@@ -539,7 +569,11 @@ impl Search<'_> {
     /// Every candidate of every unit, ordered by `(gain desc, unit key
     /// asc, target asc)` — units are sorted by key, so unit index order
     /// is key order. Targets that break an exclusion are left out.
-    fn candidates(&self) -> Vec<Candidate> {
+    ///
+    /// The list depends only on the current state, so it is built once
+    /// per state: at the start and in [`Search::accept`]. Passes walk it
+    /// with a cursor and kicks draw from it.
+    fn rank(&self) -> Vec<Candidate> {
         let mut ranked: Vec<(Reverse<i64>, usize, usize)> = (0..self.units.len())
             .flat_map(|unit| {
                 let home = self.home(unit);
@@ -563,29 +597,45 @@ impl Search<'_> {
     /// Applies a candidate structurally, returning the derived session
     /// (`None` if it would empty the source partition or create mutual
     /// data dependency — such candidates are skipped without consuming
-    /// the move budget).
+    /// the move budget). The verdict depends only on the current state,
+    /// so a candidate that fails stays failed until a move is accepted.
     fn apply(&self, c: &Candidate) -> Option<Session> {
         let moves: Vec<(NodeId, PartitionId)> =
             self.units[c.unit].nodes.iter().map(|&n| (n, c.to)).collect();
         self.current.apply_moves(&moves).ok()
     }
 
-    /// Makes an evaluated candidate the current state.
-    fn accept(&mut self, c: &Candidate, session: Session, outcome: SearchOutcome, score: f64) {
-        let unit = &self.units[c.unit];
-        let (from, to) = (c.from.index(), c.to.index());
-        self.cut.record_move(session.partitioning().dfg(), unit, from, to);
-        self.current = session;
-        self.outcome = outcome;
-        self.score = score;
+    /// The first candidate at or after `cursor` whose unit is not
+    /// `locked` and which applies, with its list index.
+    fn first_legal(&self, cursor: usize, locked: &[bool]) -> Option<(usize, Session)> {
+        (cursor..self.ranked.len())
+            .filter(|&at| !locked[self.ranked[at].unit])
+            .find_map(|at| self.apply(&self.ranked[at]).map(|s| (at, s)))
     }
 
-    /// Evaluates a session through the inner engine and scores it.
-    fn evaluate(&mut self, session: &Session) -> Result<(SearchOutcome, f64), ChopError> {
-        let outcome = session.explore(self.spec.heuristic)?;
+    /// Makes an evaluated candidate the current state and re-ranks.
+    fn accept(&mut self, c: &Candidate, next: Evaluated) {
+        let unit = &self.units[c.unit];
+        let (from, to) = (c.from.index(), c.to.index());
+        self.cut.record_move(next.session.partitioning().dfg(), unit, from, to);
+        self.current = next.session;
+        self.outcome = next.outcome;
+        self.score = next.score;
+        self.hashes = next.hashes;
+        self.ranked = self.rank();
+    }
+
+    /// Evaluates candidate `c`'s session through the inner engine and
+    /// scores it. Every partition but `c`'s two keeps its membership, so
+    /// their structural hashes are carried in rather than recomputed.
+    fn evaluate(&mut self, c: &Candidate, session: Session) -> Result<Evaluated, ChopError> {
+        let mut known = self.hashes.clone();
+        known[c.from.index()] = None;
+        known[c.to.index()] = None;
+        let (outcome, hashes) = engine::explore(&session, self.spec.heuristic, &known)?;
         self.evaluations += 1;
         let score = score_state(session.partitioning(), &outcome, &self.spec.weights);
-        Ok((outcome, score))
+        Ok(Evaluated { session, outcome, score, hashes })
     }
 
     /// The budget check between candidate evaluations.
@@ -748,7 +798,7 @@ impl Session {
             budget = budget.with_deadline(d);
         }
         let timer = BudgetTimer::start(budget);
-        let outcome = self.explore(spec.heuristic)?;
+        let (outcome, hashes) = engine::explore(self, spec.heuristic, &[])?;
         let score = score_state(self.partitioning(), &outcome, &spec.weights);
         let mut search = Search {
             spec,
@@ -759,7 +809,10 @@ impl Session {
             current: self.clone(),
             outcome,
             score,
+            hashes,
+            ranked: Vec::new(),
         };
+        search.ranked = search.rank();
         let initial_score = search.score;
         let initial_outcome = search.outcome.clone();
         let mut rng = Rng::new(spec.seed);
@@ -773,28 +826,30 @@ impl Session {
         'outer: loop {
             // One gain-directed pass: repeatedly evaluate the best-ranked
             // candidate among unlocked units, locking each unit after its
-            // verdict, until the pass runs dry.
+            // verdict, until the pass runs dry. The cursor resumes past a
+            // rejected candidate and rewinds on an accepted move (see the
+            // module docs for why that is exact).
             passes += 1;
             let mut locked = vec![false; search.units.len()];
+            let mut cursor = 0;
             let mut improved = false;
             loop {
                 if let Some(c) = search.tripped() {
                     completion = c;
                     break 'outer;
                 }
-                let candidates = search.candidates();
-                let Some((cand, session)) = candidates
-                    .iter()
-                    .filter(|c| !locked[c.unit])
-                    .find_map(|c| search.apply(c).map(|s| (c, s)))
-                else {
+                let Some((at, session)) = search.first_legal(cursor, &locked) else {
                     break;
                 };
+                let cand = search.ranked[at];
                 // Lock the unit: its verdict is final for this pass.
                 locked[cand.unit] = true;
-                let (outcome, score) = search.evaluate(&session)?;
+                cursor = at + 1;
+                let next = search.evaluate(&cand, session)?;
+                let score = next.score;
                 if score.total_cmp(&search.score) == std::cmp::Ordering::Less {
-                    search.accept(cand, session, outcome, score);
+                    search.accept(&cand, next);
+                    cursor = 0;
                     moves.push(AppliedMove {
                         nodes: search.units[cand.unit].nodes.clone(),
                         from: cand.from,
@@ -827,17 +882,18 @@ impl Session {
                     completion = c;
                     break 'outer;
                 }
-                let candidates = search.candidates();
-                if candidates.is_empty() {
+                let n = search.ranked.len();
+                if n == 0 {
                     break;
                 }
-                let start = rng.below(candidates.len());
-                let picked = (0..candidates.len()).find_map(|i| {
-                    let c = &candidates[(start + i) % candidates.len()];
-                    search.apply(c).map(|s| (c, s))
+                let start = rng.below(n);
+                let picked = (0..n).find_map(|i| {
+                    let c = search.ranked[(start + i) % n];
+                    search.apply(&c).map(|s| (c, s))
                 });
                 let Some((cand, session)) = picked else { break };
-                let (outcome, score) = search.evaluate(&session)?;
+                let next = search.evaluate(&cand, session)?;
+                let score = next.score;
                 let delta = score - search.score;
                 let accept =
                     delta < 0.0 || (temp > 0.0 && rng.next_f64() < (-delta / temp).exp());
@@ -850,7 +906,7 @@ impl Session {
                         pass: passes,
                         kind: MoveKind::Kick,
                     });
-                    search.accept(cand, session, outcome, score);
+                    search.accept(&cand, next);
                     let best_score = best.as_ref().map_or(initial_score, |b| b.2);
                     if score.total_cmp(&best_score) == std::cmp::Ordering::Less {
                         best = Some((

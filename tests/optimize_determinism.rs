@@ -2,9 +2,15 @@
 //! optimizer, plus the infeasible-start acceptance scenario: `optimize`
 //! on experiment 1 must find a feasible partitioning from an infeasible
 //! start within the default budget, with byte-identical digests at any
-//! job count.
+//! job count and under any prediction cache (default, disabled, or too
+//! small to hold the partition keys the optimizer carries).
 
+use chop_bad::{ArchitectureStyle, ClockConfig, PredictorParams};
 use chop_core::prelude::*;
+use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
+use chop_library::standard::{table1_library, table2_packages};
+use chop_library::ChipSet;
+use chop_stat::units::Nanos;
 
 /// Experiment-1 session (3 partitions, 84-pin packages) skewed by greedy
 /// node moves into partition 0 until exploration finds nothing feasible.
@@ -92,6 +98,60 @@ fn accepted_trace_replays_to_final_partitioning() {
         .collect();
     let replayed = session.apply_moves(&moves).expect("trace replays");
     assert_eq!(replayed.partitioning().grouping(), result.partitioning.grouping());
+}
+
+/// A seeded single-cycle layered spec cut horizontally into `k`
+/// partitions under 1 ms constraints, around a fresh default cache.
+fn layered(seed: u64, layers: usize, width: usize, k: usize) -> Session {
+    let dfg = random_layered(
+        seed,
+        RandomDfgParams { layers, width, inputs: 4, mul_percent: 40, bits: 16 },
+    );
+    let chips = ChipSet::uniform(table2_packages()[1].clone(), k);
+    let p = PartitioningBuilder::new(dfg, chips).split_horizontal(k).build().expect("valid");
+    Session::new(
+        p,
+        table1_library(),
+        ClockConfig::new(Nanos::new(300.0), 10, 1).expect("valid clocks"),
+        ArchitectureStyle::single_cycle(),
+        PredictorParams::default(),
+        Constraints::new(Nanos::new(1e6), Nanos::new(1e6)),
+    )
+}
+
+/// Between evaluations the optimizer carries the structural hashes of
+/// the partitions a move leaves untouched instead of re-extracting them.
+/// That must change no result whatever the cache holds: with the
+/// default cache (carried keys hit), with memoization off (nothing is
+/// keyed, so nothing is carried) and with two entries (carried keys look
+/// up entries long evicted, so those partitions are extracted and
+/// predicted again), the digest, evaluation count and move trace agree.
+#[test]
+fn carried_cache_keys_change_no_result_under_any_cache() {
+    for (seed, layers, width, k) in [(1991, 13, 8, 4), (2024, 18, 8, 5), (7, 20, 8, 6)] {
+        for kicks in [(2, 3), (0, 0)] {
+            let spec = OptimizeSpec::new()
+                .with_seed(seed ^ 0x5eed)
+                .with_max_moves(32)
+                .with_kicks(kicks.0, kicks.1);
+            let run = |session: Session| {
+                let result = session.optimize(&spec).expect("optimize runs");
+                (result, session.cache_stats())
+            };
+            let case = format!("layered{seed}-k{k} kicks {kicks:?}");
+            let (default, _) = run(layered(seed, layers, width, k));
+            let (off, off_stats) = run(layered(seed, layers, width, k).with_cache_capacity(0));
+            let (tiny, tiny_stats) =
+                run(layered(seed, layers, width, k).with_cache_capacity(2));
+            assert_eq!(off_stats.hits, 0, "{case}: a disabled cache served a hit");
+            assert!(tiny_stats.evictions > 0, "{case}: a two-entry cache never evicted");
+            for (name, other) in [("capacity 0", off), ("capacity 2", tiny)] {
+                assert_eq!(other.digest(), default.digest(), "{case}: digest under {name}");
+                assert_eq!(other.evaluations, default.evaluations, "{case}: under {name}");
+                assert_eq!(other.moves, default.moves, "{case}: move trace under {name}");
+            }
+        }
+    }
 }
 
 mod seed_properties {
