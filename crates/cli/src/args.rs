@@ -1,30 +1,35 @@
 //! Hand-rolled option parsing (the approved dependency list has no clap).
+//!
+//! Every flag is matched in one place. The flag sets a local command
+//! shares with `chop client` parse straight into the service's request
+//! types — [`open_flag`] into [`OpenParams`], [`explore_flag`] into
+//! [`ExploreParams`], [`optimize_flag`] into [`OptimizeParams`] — and
+//! `chop serve` / `chop router` parse into [`ServeConfig`] /
+//! [`RouterConfig`].
 
 use std::fmt;
+use std::str::FromStr;
+use std::time::Duration;
 
-/// Options shared by `check` and `tasks`.
+use chop_core::prelude::Heuristic;
+use chop_service::{
+    BackendSpec, ExploreParams, OpenParams, OptimizeParams, RouterConfig, ServeConfig,
+};
+
+/// Options shared by `check`, `optimize` and `tasks`.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Spec file path.
     pub spec: String,
-    /// Number of partitions (and default chips).
-    pub partitions: usize,
-    /// Number of chips (defaults to `partitions`).
-    pub chips: Option<usize>,
-    /// Package pins: 64 or 84 (Table 2).
-    pub package_pins: u32,
-    /// Performance constraint in ns.
-    pub performance: f64,
-    /// Delay constraint in ns.
-    pub delay: f64,
+    /// Partitions, chips, package and constraints. `open.spec` stays
+    /// empty (the spec is read from [`spec`](Self::spec)), and unlike a
+    /// wire `open` the operations are single-cycle unless
+    /// `--multi-cycle` is given.
+    pub open: OpenParams,
     /// Optional system power limit in mW.
     pub power: Option<f64>,
-    /// Multi-cycle operation style (default single-cycle).
-    pub multi_cycle: bool,
     /// Datapath clock multiplier over the 300 ns main clock.
     pub dp_mult: u32,
-    /// Heuristic: 'e' or 'i'.
-    pub heuristic: char,
     /// Testability: none|partial|full.
     pub testability: String,
     /// On-chip memory placements: `(memory index, chip index)`.
@@ -33,10 +38,9 @@ pub struct Options {
     pub extended_library: bool,
     /// Emit a markdown report instead of plain text (check only).
     pub markdown: bool,
-    /// Wall-clock deadline for exploration, in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Cap on global combinations examined.
-    pub max_trials: Option<usize>,
+    /// Heuristic, deadline, trial cap and worker threads (`None` = all
+    /// CPUs).
+    pub explore: ExploreParams,
     /// Cap on retained design points.
     pub max_points: Option<usize>,
     /// Never degrade heuristic E to I, however large the space.
@@ -44,9 +48,6 @@ pub struct Options {
     /// Disable branch-and-bound subtree skipping in heuristic E (the
     /// exhaustive odometer walk; results are identical, only slower).
     pub no_bnb: bool,
-    /// Worker threads for prediction and combination scoring
-    /// (default: available parallelism).
-    pub jobs: Option<usize>,
     /// Print the per-stage trace and cache statistics after the search.
     pub stats: bool,
     /// Write the trace and cache statistics as JSON to this path.
@@ -54,38 +55,26 @@ pub struct Options {
     /// What-if migration: `(node index, target partition)` re-explored
     /// incrementally after the baseline run.
     pub move_node: Option<(u32, u32)>,
-    /// Lock stripes in the prediction cache (`None` sizes the stripe
-    /// from `--jobs`; results never depend on the shard count).
-    pub cache_shards: Option<usize>,
 }
 
 impl Default for Options {
     fn default() -> Self {
         Self {
             spec: String::new(),
-            partitions: 1,
-            chips: None,
-            package_pins: 84,
-            performance: 30_000.0,
-            delay: 30_000.0,
+            open: OpenParams { multi_cycle: false, ..OpenParams::default() },
             power: None,
-            multi_cycle: false,
             dp_mult: 10,
-            heuristic: 'i',
             testability: "none".to_owned(),
             on_chip_memories: Vec::new(),
             extended_library: false,
             markdown: false,
-            deadline_ms: None,
-            max_trials: None,
+            explore: ExploreParams::default(),
             max_points: None,
             no_degrade: false,
             no_bnb: false,
-            jobs: None,
             stats: false,
             stats_json: None,
             move_node: None,
-            cache_shards: None,
         }
     }
 }
@@ -102,83 +91,215 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// Parses `text` as the value of `flag`.
+pub fn parse_num<T: FromStr>(flag: &str, text: &str) -> Result<T, ArgError> {
+    text.parse().map_err(|_| ArgError(format!("bad value for {flag}")))
+}
+
+/// A cursor over argv that hands each flag its value.
+pub struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// A cursor at the first argument.
+    pub fn new(argv: &'a [String]) -> Self {
+        Self(argv.iter())
+    }
+
+    /// The argument after `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<&'a str, ArgError> {
+        self.next().ok_or_else(|| ArgError(format!("{flag} needs a value")))
+    }
+
+    /// The argument after `flag`, parsed.
+    pub fn num<T: FromStr>(&mut self, flag: &str) -> Result<T, ArgError> {
+        parse_num(flag, self.value(flag)?)
+    }
+
+    /// The argument after `flag`, parsed, and rejected when zero.
+    fn at_least_one<T: FromStr + Default + PartialEq>(
+        &mut self,
+        flag: &str,
+    ) -> Result<T, ArgError> {
+        let n: T = self.num(flag)?;
+        if n == T::default() {
+            return Err(ArgError(format!("{flag} must be at least 1")));
+        }
+        Ok(n)
+    }
+}
+
+impl<'a> Iterator for Flags<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+}
+
+/// Applies `flag` if it is an open flag (`--partitions/-k`, `--chips`,
+/// `--package`, `--perf`, `--delay`), returning whether it was one.
+pub fn open_flag(
+    params: &mut OpenParams,
+    flag: &str,
+    flags: &mut Flags<'_>,
+) -> Result<bool, ArgError> {
+    match flag {
+        "--partitions" | "-k" => params.partitions = flags.num(flag)?,
+        "--chips" => params.chips = Some(flags.num(flag)?),
+        "--package" => {
+            params.package_pins = flags.num(flag)?;
+            if params.package_pins != 64 && params.package_pins != 84 {
+                return Err(ArgError("--package must be 64 or 84".into()));
+            }
+        }
+        _ => {
+            return constraint_flag(
+                &mut params.performance_ns,
+                &mut params.delay_ns,
+                flag,
+                flags,
+            )
+        }
+    }
+    Ok(true)
+}
+
+/// Applies `flag` if it is a constraint flag (`--perf`, `--delay`, in
+/// ns), the part of the open flags `set-constraints` takes too.
+pub fn constraint_flag(
+    performance_ns: &mut f64,
+    delay_ns: &mut f64,
+    flag: &str,
+    flags: &mut Flags<'_>,
+) -> Result<bool, ArgError> {
+    match flag {
+        "--perf" => *performance_ns = flags.num(flag)?,
+        "--delay" => *delay_ns = flags.num(flag)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Applies `flag` if it is an explore flag (`--heuristic`, `--deadline`,
+/// `--max-trials`, `--jobs/-j`), returning whether it was one.
+pub fn explore_flag(
+    params: &mut ExploreParams,
+    flag: &str,
+    flags: &mut Flags<'_>,
+) -> Result<bool, ArgError> {
+    match flag {
+        "--heuristic" => {
+            params.heuristic = match flags.value(flag)? {
+                "e" | "E" => Heuristic::Enumeration,
+                "i" | "I" => Heuristic::Iterative,
+                _ => return Err(ArgError("--heuristic must be e or i".into())),
+            };
+        }
+        "--deadline" => params.budget.deadline_ms = Some(flags.num(flag)?),
+        "--max-trials" => params.budget.max_trials = Some(flags.num(flag)?),
+        "--jobs" | "-j" => params.jobs = Some(flags.at_least_one(flag)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Applies `flag` if it is an optimizer flag (`--seed`, `--max-moves`,
+/// `--kicks`, `--kick-moves`, `--pin`, `--group`, `--exclude`),
+/// returning whether it was one.
+pub fn optimize_flag(
+    params: &mut OptimizeParams,
+    flag: &str,
+    flags: &mut Flags<'_>,
+) -> Result<bool, ArgError> {
+    match flag {
+        "--seed" => params.seed = flags.num(flag)?,
+        "--max-moves" => params.budget.max_trials = Some(flags.num(flag)?),
+        "--kicks" => params.kicks = Some(flags.num(flag)?),
+        "--kick-moves" => params.kick_moves = Some(flags.num(flag)?),
+        "--pin" => params.pinned.push(flags.num(flag)?),
+        "--group" => {
+            let nodes = flags
+                .value(flag)?
+                .split(',')
+                .map(|n| parse_num(flag, n.trim()))
+                .collect::<Result<Vec<u32>, _>>()?;
+            if nodes.len() < 2 {
+                return Err(ArgError("--group wants at least two node indices".into()));
+            }
+            params.groups.push(nodes);
+        }
+        "--exclude" => {
+            let (a, b) = flags
+                .value(flag)?
+                .split_once(':')
+                .ok_or_else(|| ArgError("--exclude wants A:B".into()))?;
+            params.exclusions.push((parse_num(flag, a)?, parse_num(flag, b)?));
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Copies the explore flags an optimize run shares — heuristic, deadline
+/// and worker threads — into its parameters. (`--max-trials` is not
+/// shared: an optimize run's trial cap is `--max-moves`.)
+pub fn share_explore_flags(params: &mut OptimizeParams, explore: &ExploreParams) {
+    params.heuristic = explore.heuristic;
+    params.budget.deadline_ms = explore.budget.deadline_ms;
+    params.jobs = explore.jobs;
+}
+
 /// Parses `check`/`tasks` options from argv (after the subcommand).
 pub fn parse_options(argv: &[String]) -> Result<Options, ArgError> {
+    parse(argv, None)
+}
+
+/// Parses `optimize` options from argv (after the subcommand): the
+/// `check` options plus the optimizer flags.
+pub fn parse_optimize_options(argv: &[String]) -> Result<(Options, OptimizeParams), ArgError> {
+    let mut params = OptimizeParams::default();
+    let opts = parse(argv, Some(&mut params))?;
+    share_explore_flags(&mut params, &opts.explore);
+    Ok((opts, params))
+}
+
+fn parse(
+    argv: &[String],
+    mut optimize: Option<&mut OptimizeParams>,
+) -> Result<Options, ArgError> {
     let mut opts = Options::default();
-    let mut it = argv.iter().peekable();
     let mut positional = Vec::new();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, ArgError> {
-            it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--partitions" | "-k" => {
-                opts.partitions = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next() {
+        if open_flag(&mut opts.open, flag, &mut flags)?
+            || explore_flag(&mut opts.explore, flag, &mut flags)?
+        {
+            continue;
+        }
+        if let Some(params) = optimize.as_deref_mut() {
+            if optimize_flag(params, flag, &mut flags)? {
+                continue;
             }
-            "--chips" => {
-                opts.chips = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
-            "--package" => {
-                let v: u32 = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-                if v != 64 && v != 84 {
-                    return Err(ArgError("--package must be 64 or 84".into()));
-                }
-                opts.package_pins = v;
-            }
-            "--perf" => {
-                opts.performance = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--delay" => {
-                opts.delay = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--power" => {
-                opts.power = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
+        }
+        match flag {
+            "--power" => opts.power = Some(flags.num(flag)?),
             "--multi-cycle" => {
-                opts.multi_cycle = true;
+                opts.open.multi_cycle = true;
                 if opts.dp_mult == 10 {
                     opts.dp_mult = 1;
                 }
             }
-            "--dp-mult" => {
-                opts.dp_mult = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--heuristic" => {
-                let v = value(arg)?;
-                match v.as_str() {
-                    "e" | "E" => opts.heuristic = 'e',
-                    "i" | "I" => opts.heuristic = 'i',
-                    _ => return Err(ArgError("--heuristic must be e or i".into())),
-                }
-            }
+            "--dp-mult" => opts.dp_mult = flags.num(flag)?,
             "--testability" => {
-                let v = value(arg)?;
-                if !["none", "partial", "full"].contains(&v.as_str()) {
+                let v = flags.value(flag)?;
+                if !["none", "partial", "full"].contains(&v) {
                     return Err(ArgError("--testability must be none, partial or full".into()));
                 }
-                opts.testability = v;
+                opts.testability = v.to_owned();
             }
             "--on-chip-memory" => {
-                let v = value(arg)?;
-                let (m, c) = v
+                let (m, c) = flags
+                    .value(flag)?
                     .split_once(':')
                     .ok_or_else(|| ArgError("--on-chip-memory wants M:CHIP".into()))?;
                 let m = m
@@ -190,52 +311,14 @@ pub fn parse_options(argv: &[String]) -> Result<Options, ArgError> {
             }
             "--extended-library" => opts.extended_library = true,
             "--markdown" => opts.markdown = true,
-            "--deadline" => {
-                opts.deadline_ms = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
-            "--max-trials" => {
-                opts.max_trials = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
-            "--max-points" => {
-                opts.max_points = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
+            "--max-points" => opts.max_points = Some(flags.num(flag)?),
             "--no-degrade" => opts.no_degrade = true,
             "--no-bnb" => opts.no_bnb = true,
-            "--jobs" | "-j" => {
-                let n: usize = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-                if n == 0 {
-                    return Err(ArgError("--jobs must be at least 1".into()));
-                }
-                opts.jobs = Some(n);
-            }
             "--stats" => opts.stats = true,
-            "--stats-json" => opts.stats_json = Some(value(arg)?),
-            "--cache-shards" => {
-                let n: usize = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-                if n == 0 {
-                    return Err(ArgError("--cache-shards must be at least 1".into()));
-                }
-                opts.cache_shards = Some(n);
-            }
+            "--stats-json" => opts.stats_json = Some(flags.value(flag)?.to_owned()),
             "--move-node" => {
-                let v = value(arg)?;
-                let (n, p) = v
+                let (n, p) = flags
+                    .value(flag)?
                     .split_once(':')
                     .ok_or_else(|| ArgError("--move-node wants NODE:PARTITION".into()))?;
                 let n = n.parse().map_err(|_| ArgError("bad node index".into()))?;
@@ -245,296 +328,75 @@ pub fn parse_options(argv: &[String]) -> Result<Options, ArgError> {
             flag if flag.starts_with('-') => {
                 return Err(ArgError(format!("unknown option {flag}")));
             }
-            _ => positional.push(arg.clone()),
+            spec => positional.push(spec),
         }
     }
     match positional.as_slice() {
-        [spec] => opts.spec = spec.clone(),
+        [spec] => opts.spec = (*spec).to_owned(),
         [] => return Err(ArgError("missing <spec.cbs> argument".into())),
         _ => return Err(ArgError("too many positional arguments".into())),
     }
     Ok(opts)
 }
 
-/// Optimizer-specific options for `chop optimize`; the shared session
-/// options (spec, partitions, constraints, budget) ride in [`Options`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct OptimizeOptions {
-    /// Seed for the optimizer's deterministic randomness.
-    pub seed: u64,
-    /// Cap on candidate move evaluations (the optimizer's trial budget).
-    pub max_moves: Option<u64>,
-    /// Plateau kicks allowed (`None` = the core default).
-    pub kicks: Option<u32>,
-    /// Annealed moves attempted per kick (`None` = the core default).
-    pub kick_moves: Option<u32>,
-    /// Node indices pinned to their current partition.
-    pub pinned: Vec<u32>,
-    /// Groups of node indices that move atomically and stay co-located.
-    pub groups: Vec<Vec<u32>>,
-    /// Node index pairs that must never share a partition.
-    pub exclusions: Vec<(u32, u32)>,
+/// Every CPU: the default worker-thread count of the local commands and
+/// of `chop serve`.
+pub fn all_cpus() -> usize {
+    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Parses `optimize` options from argv (after the subcommand): the
-/// optimizer flags are stripped here, everything else goes through
-/// [`parse_options`] unchanged.
-pub fn parse_optimize_options(argv: &[String]) -> Result<(Options, OptimizeOptions), ArgError> {
-    let mut oopts = OptimizeOptions::default();
-    let mut rest = Vec::new();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, ArgError> {
-            it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--seed" => {
-                oopts.seed = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--max-moves" => {
-                oopts.max_moves = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
-            "--kicks" => {
-                oopts.kicks = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
-            "--kick-moves" => {
-                oopts.kick_moves = Some(
-                    value(arg)?
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad value for {arg}")))?,
-                );
-            }
-            "--pin" => {
-                oopts
-                    .pinned
-                    .push(value(arg)?.parse().map_err(|_| ArgError("bad node index".into()))?);
-            }
-            "--group" => {
-                let nodes = value(arg)?
-                    .split(',')
-                    .map(|n| n.trim().parse().map_err(|_| ArgError("bad node index".into())))
-                    .collect::<Result<Vec<u32>, _>>()?;
-                if nodes.len() < 2 {
-                    return Err(ArgError("--group wants at least two node indices".into()));
-                }
-                oopts.groups.push(nodes);
-            }
-            "--exclude" => {
-                let v = value(arg)?;
-                let (a, b) =
-                    v.split_once(':').ok_or_else(|| ArgError("--exclude wants A:B".into()))?;
-                let a = a.parse().map_err(|_| ArgError("bad node index".into()))?;
-                let b = b.parse().map_err(|_| ArgError("bad node index".into()))?;
-                oopts.exclusions.push((a, b));
-            }
-            _ => rest.push(arg.clone()),
-        }
-    }
-    Ok((parse_options(&rest)?, oopts))
-}
-
-/// Options for `chop serve`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeOptions {
-    /// Listen address. Port 0 asks the OS for an ephemeral port (the
-    /// server prints the bound address either way).
-    pub addr: String,
-    /// Worker threads running explorations.
-    pub workers: usize,
-    /// Explorations queued or running before `busy` replies.
-    pub max_inflight: usize,
-    /// Default per-exploration thread count (requests may override).
-    pub jobs: Option<usize>,
-    /// Directory for the write-ahead journal; `None` keeps sessions
-    /// in memory only (the pre-journal behaviour).
-    pub state_dir: Option<String>,
-    /// Journal records tolerated before snapshot compaction (0 = never).
-    pub snapshot_every: usize,
-    /// Start as a warm standby: refuse direct mutations, accept the
-    /// replication stream, wait to be promoted.
-    pub standby: bool,
-    /// Symmetric replication peer (`host:port`): ship to it while
-    /// primary, accept its stream (and rejoin demoted after fencing)
-    /// while standby. Combine with `--standby` to pick the initial role.
-    pub peer: Option<String>,
-    /// Concurrent connections accepted before new ones are refused.
-    pub max_connections: usize,
-    /// Close connections idle for this many milliseconds (0 = never).
-    pub idle_timeout_ms: u64,
-    /// Request lines admitted per connection per second; past the cap a
-    /// typed `busy` reply is sent and the connection stays open (0 =
-    /// uncapped).
-    pub max_requests_per_sec: u32,
-    /// Lock stripes in the shared prediction cache (0 = sized from the
-    /// worker and jobs counts).
-    pub cache_shards: usize,
-    /// Prediction-cache snapshot path: loaded at startup, rewritten on
-    /// graceful drain and periodically.
-    pub cache_snapshot: Option<String>,
-    /// Cache insertions between periodic snapshot rewrites (0 = only on
-    /// graceful drain).
-    pub cache_snapshot_every: u64,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        // 1991: the year of the DAC paper — a memorable default port.
-        Self {
-            addr: "127.0.0.1:1991".to_owned(),
-            workers: 4,
-            max_inflight: 64,
-            jobs: None,
-            state_dir: None,
-            snapshot_every: 1024,
-            standby: false,
-            peer: None,
-            max_connections: 4096,
-            idle_timeout_ms: 600_000,
-            max_requests_per_sec: 0,
-            cache_shards: 0,
-            cache_snapshot: None,
-            cache_snapshot_every: 256,
-        }
-    }
-}
-
-/// Parses `serve` options from argv (after the subcommand).
-pub fn parse_serve_options(argv: &[String]) -> Result<ServeOptions, ArgError> {
-    let mut opts = ServeOptions::default();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, ArgError> {
-            it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => opts.addr = value(arg)?,
-            "--workers" => {
-                let n: usize = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-                if n == 0 {
-                    return Err(ArgError("--workers must be at least 1".into()));
-                }
-                opts.workers = n;
-            }
-            "--max-inflight" => {
-                opts.max_inflight = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--jobs" | "-j" => {
-                let n: usize = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-                if n == 0 {
-                    return Err(ArgError("--jobs must be at least 1".into()));
-                }
-                opts.jobs = Some(n);
-            }
-            "--state-dir" => opts.state_dir = Some(value(arg)?),
-            "--journal-snapshot-every" => {
-                opts.snapshot_every = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--standby" => opts.standby = true,
-            "--peer" => opts.peer = Some(value(arg)?),
-            "--max-connections" => {
-                let n: usize = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-                if n == 0 {
-                    return Err(ArgError("--max-connections must be at least 1".into()));
-                }
-                opts.max_connections = n;
-            }
-            "--idle-timeout-ms" => {
-                opts.idle_timeout_ms = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--max-requests-per-sec" => {
-                opts.max_requests_per_sec = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
-            "--cache-shards" => {
-                let n: usize = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-                if n == 0 {
-                    return Err(ArgError("--cache-shards must be at least 1".into()));
-                }
-                opts.cache_shards = n;
-            }
-            "--cache-snapshot" => opts.cache_snapshot = Some(value(arg)?),
-            "--cache-snapshot-every" => {
-                opts.cache_snapshot_every = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
-            }
+/// Parses `serve` options from argv (after the subcommand) into the
+/// listen address and the server's config.
+pub fn parse_serve_options(argv: &[String]) -> Result<(String, ServeConfig), ArgError> {
+    // 1991: the year of the DAC paper — a memorable default port.
+    let mut addr = "127.0.0.1:1991".to_owned();
+    let mut config = ServeConfig { jobs: all_cpus(), ..ServeConfig::default() };
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => addr = flags.value(flag)?.to_owned(),
+            "--workers" => config.workers = flags.at_least_one(flag)?,
+            "--max-inflight" => config.max_inflight = flags.num(flag)?,
+            "--jobs" | "-j" => config.jobs = flags.at_least_one(flag)?,
+            "--state-dir" => config.state_dir = Some(flags.value(flag)?.into()),
+            "--journal-snapshot-every" => config.snapshot_every = flags.num(flag)?,
+            "--standby" => config.standby = true,
+            "--peer" => config.peer = Some(flags.value(flag)?.to_owned()),
+            "--max-connections" => config.max_connections = flags.at_least_one(flag)?,
+            "--idle-timeout-ms" => config.idle_timeout_ms = flags.num(flag)?,
+            "--max-requests-per-sec" => config.max_requests_per_sec = flags.num(flag)?,
+            "--cache-snapshot" => config.cache_snapshot = Some(flags.value(flag)?.into()),
+            "--cache-snapshot-every" => config.cache_snapshot_every = flags.num(flag)?,
             other => return Err(ArgError(format!("unknown serve option {other}"))),
         }
     }
-    Ok(opts)
+    Ok((addr, config))
 }
 
-/// Options for `chop router`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouterOptions {
-    /// Listen address (same convention as `serve`: port 0 = ephemeral).
-    pub addr: String,
-    /// Backend pairs, each `primary[,standby]`.
-    pub backends: Vec<String>,
-    /// Health-check cadence, in milliseconds.
-    pub health_interval_ms: u64,
-}
-
-impl Default for RouterOptions {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:1990".to_owned(),
-            backends: Vec::new(),
-            health_interval_ms: 500,
-        }
-    }
-}
-
-/// Parses `router` options from argv (after the subcommand).
-pub fn parse_router_options(argv: &[String]) -> Result<RouterOptions, ArgError> {
-    let mut opts = RouterOptions::default();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, ArgError> {
-            it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => opts.addr = value(arg)?,
-            "--backend" => opts.backends.push(value(arg)?),
+/// Parses `router` options from argv (after the subcommand) into the
+/// listen address and the router's config.
+pub fn parse_router_options(argv: &[String]) -> Result<(String, RouterConfig), ArgError> {
+    let mut addr = "127.0.0.1:1990".to_owned();
+    let mut config = RouterConfig::default();
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => addr = flags.value(flag)?.to_owned(),
+            "--backend" => {
+                config.pairs.push(BackendSpec::parse(flags.value(flag)?).map_err(ArgError)?)
+            }
             "--health-interval-ms" => {
-                opts.health_interval_ms = value(arg)?
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad value for {arg}")))?;
+                config.health_interval = Duration::from_millis(flags.num(flag)?);
             }
             other => return Err(ArgError(format!("unknown router option {other}"))),
         }
     }
-    if opts.backends.is_empty() {
+    if config.pairs.is_empty() {
         return Err(ArgError(
             "router needs at least one --backend <primary[,standby]> pair".into(),
         ));
     }
-    Ok(opts)
+    Ok((addr, config))
 }
 
 #[cfg(test)]
@@ -547,16 +409,16 @@ mod tests {
 
     #[test]
     fn serve_defaults_and_flags() {
-        let o = parse_serve_options(&[]).unwrap();
-        assert_eq!(o.addr, "127.0.0.1:1991");
+        let (addr, o) = parse_serve_options(&[]).unwrap();
+        assert_eq!(addr, "127.0.0.1:1991");
+        assert_eq!(o, ServeConfig { jobs: all_cpus(), ..ServeConfig::default() });
         assert_eq!(o.workers, 4);
         assert_eq!(o.max_inflight, 64);
-        assert_eq!(o.jobs, None);
         assert_eq!(o.state_dir, None);
         assert_eq!(o.snapshot_every, 1024);
         assert_eq!(o.max_connections, 4096);
         assert_eq!(o.idle_timeout_ms, 600_000);
-        let o = parse_serve_options(&s(&[
+        let (addr, o) = parse_serve_options(&s(&[
             "--addr",
             "127.0.0.1:0",
             "--workers",
@@ -575,55 +437,53 @@ mod tests {
             "15000",
         ]))
         .unwrap();
-        assert_eq!(o.addr, "127.0.0.1:0");
+        assert_eq!(addr, "127.0.0.1:0");
         assert_eq!(o.workers, 2);
         assert_eq!(o.max_inflight, 8);
-        assert_eq!(o.jobs, Some(3));
-        assert_eq!(o.state_dir.as_deref(), Some("/tmp/chop-state"));
+        assert_eq!(o.jobs, 3);
+        assert_eq!(o.state_dir.as_deref(), Some(std::path::Path::new("/tmp/chop-state")));
         assert_eq!(o.snapshot_every, 16);
         assert_eq!(o.max_connections, 128);
         assert_eq!(o.idle_timeout_ms, 15_000);
         // 0 disables idle reaping but a zero connection cap is nonsense.
-        let o = parse_serve_options(&s(&["--idle-timeout-ms", "0"])).unwrap();
+        let (_, o) = parse_serve_options(&s(&["--idle-timeout-ms", "0"])).unwrap();
         assert_eq!(o.idle_timeout_ms, 0);
         // The rate cap defaults off and parses like the other limits.
         assert_eq!(o.max_requests_per_sec, 0);
-        let o = parse_serve_options(&s(&["--max-requests-per-sec", "100"])).unwrap();
+        let (_, o) = parse_serve_options(&s(&["--max-requests-per-sec", "100"])).unwrap();
         assert_eq!(o.max_requests_per_sec, 100);
         assert!(parse_serve_options(&s(&["--max-requests-per-sec", "lots"])).is_err());
     }
 
     #[test]
     fn serve_cache_tier_flags() {
-        // Defaults: auto-sized shards, no snapshot, 256-insert cadence.
-        let o = parse_serve_options(&[]).unwrap();
-        assert_eq!(o.cache_shards, 0);
+        // Defaults: no snapshot, 256-insert cadence.
+        let (_, o) = parse_serve_options(&[]).unwrap();
         assert_eq!(o.cache_snapshot, None);
         assert_eq!(o.cache_snapshot_every, 256);
-        let o = parse_serve_options(&s(&[
-            "--cache-shards",
-            "16",
+        let (_, o) = parse_serve_options(&s(&[
             "--cache-snapshot",
             "/tmp/chop-cache.snap",
             "--cache-snapshot-every",
             "64",
         ]))
         .unwrap();
-        assert_eq!(o.cache_shards, 16);
-        assert_eq!(o.cache_snapshot.as_deref(), Some("/tmp/chop-cache.snap"));
+        assert_eq!(
+            o.cache_snapshot.as_deref(),
+            Some(std::path::Path::new("/tmp/chop-cache.snap"))
+        );
         assert_eq!(o.cache_snapshot_every, 64);
-        // Cadence 0 = drain-only snapshots; shard count 0 is rejected
-        // (pass nothing to get auto-sizing instead).
-        let o = parse_serve_options(&s(&["--cache-snapshot-every", "0"])).unwrap();
+        // Cadence 0 = drain-only snapshots.
+        let (_, o) = parse_serve_options(&s(&["--cache-snapshot-every", "0"])).unwrap();
         assert_eq!(o.cache_snapshot_every, 0);
-        assert!(parse_serve_options(&s(&["--cache-shards", "0"])).is_err());
-        assert!(parse_serve_options(&s(&["--cache-shards", "lots"])).is_err());
         assert!(parse_serve_options(&s(&["--cache-snapshot"])).is_err());
+        // The shard count follows the thread counts; there is no flag.
+        assert!(parse_serve_options(&s(&["--cache-shards", "16"])).is_err());
     }
 
     #[test]
     fn optimize_options_parse_and_pass_through() {
-        let (opts, oopts) = parse_optimize_options(&s(&[
+        let (opts, params) = parse_optimize_options(&s(&[
             "d.cbs",
             "--partitions",
             "3",
@@ -645,30 +505,39 @@ mod tests {
             "4:5",
             "--deadline",
             "250",
+            "--heuristic",
+            "e",
+            "--max-trials",
+            "9",
         ]))
         .unwrap();
         assert_eq!(opts.spec, "d.cbs");
-        assert_eq!(opts.partitions, 3);
-        assert_eq!(opts.deadline_ms, Some(250));
-        assert_eq!(oopts.seed, 42);
-        assert_eq!(oopts.max_moves, Some(128));
-        assert_eq!(oopts.kicks, Some(2));
-        assert_eq!(oopts.kick_moves, Some(5));
-        assert_eq!(oopts.pinned, vec![0, 7]);
-        assert_eq!(oopts.groups, vec![vec![1, 2, 3]]);
-        assert_eq!(oopts.exclusions, vec![(4, 5)]);
+        assert_eq!(opts.open.partitions, 3);
+        assert_eq!(opts.explore.budget.deadline_ms, Some(250));
+        assert_eq!(opts.explore.budget.max_trials, Some(9));
+        assert_eq!(params.seed, 42);
+        assert_eq!(params.budget.max_trials, Some(128));
+        assert_eq!(params.budget.deadline_ms, Some(250));
+        assert_eq!(params.heuristic, Heuristic::Enumeration);
+        assert_eq!(params.kicks, Some(2));
+        assert_eq!(params.kick_moves, Some(5));
+        assert_eq!(params.pinned, vec![0, 7]);
+        assert_eq!(params.groups, vec![vec![1, 2, 3]]);
+        assert_eq!(params.exclusions, vec![(4, 5)]);
     }
 
     #[test]
     fn optimize_options_default_off_and_reject_nonsense() {
-        let (_, oopts) = parse_optimize_options(&s(&["d.cbs"])).unwrap();
-        assert_eq!(oopts, OptimizeOptions::default());
+        let (_, params) = parse_optimize_options(&s(&["d.cbs"])).unwrap();
+        assert_eq!(params, OptimizeParams::default());
         assert!(parse_optimize_options(&s(&["d.cbs", "--seed", "entropy"])).is_err());
         assert!(parse_optimize_options(&s(&["d.cbs", "--group", "1"])).is_err());
         assert!(parse_optimize_options(&s(&["d.cbs", "--exclude", "4"])).is_err());
         assert!(parse_optimize_options(&s(&["d.cbs", "--pin"])).is_err());
-        // Unknown flags still fail in the shared parser.
+        // Unknown flags still fail in the shared parser, and the
+        // optimizer flags belong to `optimize` alone.
         assert!(parse_optimize_options(&s(&["d.cbs", "--frobnicate"])).is_err());
+        assert!(parse_options(&s(&["d.cbs", "--seed", "1"])).is_err());
     }
 
     #[test]
@@ -686,14 +555,15 @@ mod tests {
 
     #[test]
     fn serve_replication_flags_parse() {
-        let o = parse_serve_options(&s(&["--standby"])).unwrap();
+        let (_, o) = parse_serve_options(&s(&["--standby"])).unwrap();
         assert!(o.standby);
         // --peer names the replication partner: valid alone (a primary
         // shipping to it) or with --standby (the initial role).
-        let o = parse_serve_options(&s(&["--peer", "127.0.0.1:1992"])).unwrap();
+        let (_, o) = parse_serve_options(&s(&["--peer", "127.0.0.1:1992"])).unwrap();
         assert_eq!(o.peer.as_deref(), Some("127.0.0.1:1992"));
         assert!(!o.standby);
-        let o = parse_serve_options(&s(&["--peer", "127.0.0.1:1991", "--standby"])).unwrap();
+        let (_, o) =
+            parse_serve_options(&s(&["--peer", "127.0.0.1:1991", "--standby"])).unwrap();
         assert!(o.standby && o.peer.is_some());
         assert!(parse_serve_options(&s(&["--peer"])).is_err());
         // The one-way alias is gone; --peer replaces it.
@@ -702,7 +572,7 @@ mod tests {
 
     #[test]
     fn router_options_parse() {
-        let o = parse_router_options(&s(&[
+        let (addr, o) = parse_router_options(&s(&[
             "--addr",
             "127.0.0.1:0",
             "--backend",
@@ -713,11 +583,16 @@ mod tests {
             "250",
         ]))
         .unwrap();
-        assert_eq!(o.addr, "127.0.0.1:0");
-        assert_eq!(o.backends.len(), 2);
-        assert_eq!(o.health_interval_ms, 250);
+        assert_eq!(addr, "127.0.0.1:0");
+        assert_eq!(o.pairs.len(), 2);
+        assert_eq!(o.pairs[0].standby.as_deref(), Some("127.0.0.1:1992"));
+        assert_eq!(o.health_interval, Duration::from_millis(250));
+        let (addr, o) = parse_router_options(&s(&["--backend", "h:1"])).unwrap();
+        assert_eq!(addr, "127.0.0.1:1990");
+        assert_eq!(o.health_interval, Duration::from_millis(500));
         assert!(parse_router_options(&[]).is_err(), "no backends is an error");
         assert!(parse_router_options(&s(&["--backend"])).is_err());
+        assert!(parse_router_options(&s(&["--backend", ",h:2"])).is_err());
         assert!(parse_router_options(&s(&["--health-interval-ms", "soon"])).is_err());
         assert!(parse_router_options(&s(&["--frobnicate"])).is_err());
     }
@@ -726,9 +601,14 @@ mod tests {
     fn defaults_and_spec() {
         let o = parse_options(&s(&["design.cbs"])).unwrap();
         assert_eq!(o.spec, "design.cbs");
-        assert_eq!(o.partitions, 1);
-        assert_eq!(o.package_pins, 84);
-        assert!(!o.multi_cycle);
+        assert_eq!(o.open.partitions, 1);
+        assert_eq!(o.open.chips, None);
+        assert_eq!(o.open.package_pins, 84);
+        assert_eq!(o.open.performance_ns, 30_000.0);
+        assert_eq!(o.open.delay_ns, 30_000.0);
+        assert!(!o.open.multi_cycle);
+        assert_eq!(o.dp_mult, 10);
+        assert_eq!(o.explore.heuristic, Heuristic::Iterative);
     }
 
     #[test]
@@ -754,12 +634,13 @@ mod tests {
             "M0:1",
         ]))
         .unwrap();
-        assert_eq!(o.partitions, 3);
-        assert_eq!(o.package_pins, 64);
-        assert_eq!(o.performance, 20_000.0);
-        assert!(o.multi_cycle);
+        assert_eq!(o.open.partitions, 3);
+        assert_eq!(o.open.package_pins, 64);
+        assert_eq!(o.open.performance_ns, 20_000.0);
+        assert_eq!(o.open.delay_ns, 25_000.0);
+        assert!(o.open.multi_cycle);
         assert_eq!(o.dp_mult, 1);
-        assert_eq!(o.heuristic, 'e');
+        assert_eq!(o.explore.heuristic, Heuristic::Enumeration);
         assert_eq!(o.power, Some(5000.0));
         assert_eq!(o.testability, "full");
         assert_eq!(o.on_chip_memories, vec![(0, 1)]);
@@ -779,8 +660,8 @@ mod tests {
             "--no-bnb",
         ]))
         .unwrap();
-        assert_eq!(o.deadline_ms, Some(250));
-        assert_eq!(o.max_trials, Some(5000));
+        assert_eq!(o.explore.budget.deadline_ms, Some(250));
+        assert_eq!(o.explore.budget.max_trials, Some(5000));
         assert_eq!(o.max_points, Some(100));
         assert!(o.no_degrade);
         assert!(o.no_bnb);
@@ -789,8 +670,7 @@ mod tests {
     #[test]
     fn budget_flags_default_off() {
         let o = parse_options(&s(&["d.cbs"])).unwrap();
-        assert_eq!(o.deadline_ms, None);
-        assert_eq!(o.max_trials, None);
+        assert!(o.explore.budget.is_empty());
         assert_eq!(o.max_points, None);
         assert!(!o.no_degrade);
         assert!(!o.no_bnb);
@@ -809,19 +689,18 @@ mod tests {
             "7:1",
         ]))
         .unwrap();
-        assert_eq!(o.jobs, Some(4));
+        assert_eq!(o.explore.jobs, Some(4));
         assert!(o.stats);
         assert_eq!(o.stats_json.as_deref(), Some("out.json"));
         assert_eq!(o.move_node, Some((7, 1)));
-        let o = parse_options(&s(&["d.cbs", "--cache-shards", "8"])).unwrap();
-        assert_eq!(o.cache_shards, Some(8));
-        assert!(parse_options(&s(&["d.cbs", "--cache-shards", "0"])).is_err());
+        // The shard count follows --jobs; there is no flag.
+        assert!(parse_options(&s(&["d.cbs", "--cache-shards", "8"])).is_err());
     }
 
     #[test]
     fn engine_flags_default_off() {
         let o = parse_options(&s(&["d.cbs"])).unwrap();
-        assert_eq!(o.jobs, None);
+        assert_eq!(o.explore.jobs, None);
         assert!(!o.stats);
         assert_eq!(o.stats_json, None);
         assert_eq!(o.move_node, None);

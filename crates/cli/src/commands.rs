@@ -1,7 +1,6 @@
 //! The `chop` subcommands.
 
 use std::error::Error;
-use std::time::Duration;
 
 use chop_bad::{ArchitectureStyle, ClockConfig, PredictorParams};
 use chop_core::prelude::*;
@@ -12,11 +11,12 @@ use chop_library::standard::{
     table2_packages,
 };
 use chop_library::{ChipId, ChipSet};
+use chop_service::{optimize_spec, OptimizeParams};
 use chop_stat::units::{MilliWatts, Nanos};
 
 use crate::args::{
-    parse_optimize_options, parse_options, parse_router_options, parse_serve_options, ArgError,
-    OptimizeOptions, Options,
+    all_cpus, parse_optimize_options, parse_options, parse_router_options, parse_serve_options,
+    ArgError, Options,
 };
 
 const HELP: &str = "chop — constraint-driven system-level partitioner
@@ -56,8 +56,6 @@ OPTIONS (check / tasks):
                            the branch-and-bound subtree pruning)
   --jobs, -j <N>           worker threads for prediction and combination
                            scoring                         [all CPUs]
-  --cache-shards <N>       lock stripes in the prediction cache (rounded
-                           up to a power of two)           [4 x jobs]
   --stats                  print per-stage trace and cache statistics
   --stats-json <path>      write trace/cache statistics as JSON
   --move-node <N:P>        after the run, move node N to partition P and
@@ -85,8 +83,6 @@ OPTIONS (serve):
   --journal-snapshot-every <N>
                            compact the journal past N records (0 = never)
                                                                [1024]
-  --cache-shards <N>       lock stripes in the shared prediction cache
-                           (rounded up to a power of two)  [4 x workers x jobs]
   --cache-snapshot <path>  persist the prediction cache here and reload it
                            on restart (warm starts)        [off]
   --cache-snapshot-every <N>
@@ -207,13 +203,19 @@ pub fn run(argv: &[String]) -> Result<RunStatus, Box<dyn Error>> {
     match argv.first().map(String::as_str) {
         Some("check") => check(&parse_options(&argv[1..])?),
         Some("optimize") => {
-            let (opts, oopts) = parse_optimize_options(&argv[1..])?;
-            optimize(&opts, &oopts)
+            let (opts, params) = parse_optimize_options(&argv[1..])?;
+            optimize(&opts, &params)
         }
         Some("dot") => dot(&argv[1..]),
         Some("tasks") => tasks(&parse_options(&argv[1..])?),
-        Some("serve") => crate::service::serve(&parse_serve_options(&argv[1..])?),
-        Some("router") => crate::service::router(&parse_router_options(&argv[1..])?),
+        Some("serve") => {
+            let (addr, config) = parse_serve_options(&argv[1..])?;
+            crate::service::serve(&addr, config)
+        }
+        Some("router") => {
+            let (addr, config) = parse_router_options(&argv[1..])?;
+            crate::service::router(&addr, config)
+        }
         Some("client") => crate::service::client(&argv[1..]),
         Some("format") => {
             print!("{FORMAT}");
@@ -235,9 +237,11 @@ fn load_spec(path: &str) -> Result<Dfg, Box<dyn Error>> {
 
 fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
     let dfg = load_spec(&opts.spec)?;
+    let open = &opts.open;
     let packages = table2_packages();
-    let package = if opts.package_pins == 64 { &packages[0] } else { &packages[1] };
-    let chips = ChipSet::uniform(package.clone(), opts.chips.unwrap_or(opts.partitions));
+    let package = if open.package_pins == 64 { &packages[0] } else { &packages[1] };
+    let chips =
+        ChipSet::uniform(package.clone(), open.chips.unwrap_or(open.partitions) as usize);
 
     // Declare every memory block the spec references. Default:
     // off-the-shelf external part; --on-chip-memory overrides.
@@ -247,7 +251,8 @@ fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
             max_memory = Some(max_memory.map_or(m.index(), |x| x.max(m.index())));
         }
     }
-    let mut builder = PartitioningBuilder::new(dfg, chips).split_horizontal(opts.partitions);
+    let mut builder =
+        PartitioningBuilder::new(dfg, chips).split_horizontal(open.partitions as usize);
     if let Some(max) = max_memory {
         for m in 0..=max {
             match opts.on_chip_memories.iter().find(|(mi, _)| *mi == m) {
@@ -267,7 +272,7 @@ fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
     let partitioning = builder.build()?;
 
     let library = if opts.extended_library { extended_library() } else { table1_library() };
-    let style = if opts.multi_cycle {
+    let style = if open.multi_cycle {
         ArchitectureStyle::multi_cycle()
     } else {
         ArchitectureStyle::single_cycle()
@@ -276,8 +281,8 @@ fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
     // rejected as argument errors before any Nanos is constructed; zero
     // bounds are caught by `try_with_constraints` below.
     for (flag, v) in [
-        ("--perf", opts.performance),
-        ("--delay", opts.delay),
+        ("--perf", open.performance_ns),
+        ("--delay", open.delay_ns),
         ("--power", opts.power.unwrap_or(1.0)),
     ] {
         if !(v.is_finite() && v > 0.0) {
@@ -287,7 +292,7 @@ fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
         }
     }
     let mut constraints =
-        Constraints::new(Nanos::new(opts.performance), Nanos::new(opts.delay));
+        Constraints::new(Nanos::new(open.performance_ns), Nanos::new(open.delay_ns));
     if let Some(mw) = opts.power {
         constraints = constraints.with_power_limit(MilliWatts::new(mw));
     }
@@ -305,78 +310,32 @@ fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
         "full" => session.with_testability(TestabilityOverhead::full_scan()),
         _ => session,
     };
-    let mut budget = SearchBudget::default();
-    if let Some(ms) = opts.deadline_ms {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(n) = opts.max_trials {
-        budget = budget.with_max_trials(n);
-    }
+    let mut budget = opts.explore.budget.search_budget();
     if let Some(n) = opts.max_points {
         budget = budget.with_max_points(n);
     }
     if opts.no_degrade {
         budget = budget.without_degradation();
     }
-    let jobs = opts.jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    });
-    let shards = opts.cache_shards.unwrap_or_else(|| recommended_shards(jobs));
+    let jobs = opts.explore.jobs.map_or_else(all_cpus, |j| j as usize);
     Ok(session
         .with_budget(budget)
         .with_jobs(jobs)
-        .with_cache_config(DEFAULT_CACHE_CAPACITY, shards)
+        .with_cache_config(DEFAULT_CACHE_CAPACITY, recommended_shards(jobs))
         .with_branch_and_bound(!opts.no_bnb))
-}
-
-/// Looks up a DFG node by wire index in a session.
-fn find_node(session: &Session, node: u32) -> Result<chop_dfg::NodeId, ArgError> {
-    session
-        .partitioning()
-        .dfg()
-        .nodes()
-        .map(|(id, _)| id)
-        .find(|id| id.index() == node as usize)
-        .ok_or_else(|| ArgError(format!("no node with index {node}")))
 }
 
 /// `chop optimize` — run the move-based optimizer on the spec's initial
 /// partitioning and report the accepted trace and final verdict.
-fn optimize(opts: &Options, oopts: &OptimizeOptions) -> Result<RunStatus, Box<dyn Error>> {
+fn optimize(opts: &Options, params: &OptimizeParams) -> Result<RunStatus, Box<dyn Error>> {
     let session = build_session(opts)?;
-    let heuristic =
-        if opts.heuristic == 'e' { Heuristic::Enumeration } else { Heuristic::Iterative };
-    let mut spec = OptimizeSpec::new().with_seed(oopts.seed).with_heuristic(heuristic);
-    if let Some(ms) = opts.deadline_ms {
-        spec = spec.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(n) = oopts.max_moves {
-        spec = spec.with_max_moves(n);
-    }
-    if oopts.kicks.is_some() || oopts.kick_moves.is_some() {
-        let kicks = oopts.kicks.unwrap_or_else(|| spec.kicks());
-        let kick_moves = oopts.kick_moves.unwrap_or_else(|| spec.kick_moves());
-        spec = spec.with_kicks(kicks, kick_moves);
-    }
-    for &node in &oopts.pinned {
-        spec = spec.with_pinned_node(find_node(&session, node)?);
-    }
-    for group in &oopts.groups {
-        let nodes = group
-            .iter()
-            .map(|&node| find_node(&session, node))
-            .collect::<Result<Vec<_>, _>>()?;
-        spec = spec.with_group(nodes);
-    }
-    for &(a, b) in &oopts.exclusions {
-        spec = spec.with_exclusion(find_node(&session, a)?, find_node(&session, b)?);
-    }
+    let spec = optimize_spec(&session, params)?;
     print!("{}", report::environment(&session));
     let result = session.optimize(&spec)?;
     println!(
         "optimize (seed {}): {} move(s) accepted over {} pass(es), {} kick(s), \
          {} evaluation(s), {:.2?}",
-        oopts.seed,
+        params.seed,
         result.moves.len(),
         result.passes,
         result.kicks_used,
@@ -415,8 +374,7 @@ fn optimize(opts: &Options, oopts: &OptimizeOptions) -> Result<RunStatus, Box<dy
 
 fn check(opts: &Options) -> Result<RunStatus, Box<dyn Error>> {
     let session = build_session(opts)?;
-    let heuristic =
-        if opts.heuristic == 'e' { Heuristic::Enumeration } else { Heuristic::Iterative };
+    let heuristic = opts.explore.heuristic;
     if opts.markdown {
         let outcome = session.explore(heuristic)?;
         print!("{}", report::markdown(&session, &outcome));

@@ -4,14 +4,17 @@ use std::error::Error;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 
-use chop_core::prelude::{Heuristic, MoveKind};
+use chop_core::prelude::MoveKind;
 use chop_service::{
-    BackendSpec, Client, ExploreParams, OpenParams, OptimizeParams, OptimizeSummary, Request,
-    Response, RetryPolicy, Router, RouterConfig, RunSummary, ServeConfig, Server,
+    Client, ExploreParams, OpenParams, OptimizeParams, OptimizeSummary, Request, Response,
+    RetryPolicy, Router, RouterConfig, RunSummary, ServeConfig, Server,
     DEFAULT_CONNECT_TIMEOUT,
 };
 
-use crate::args::{ArgError, RouterOptions, ServeOptions};
+use crate::args::{
+    constraint_flag, explore_flag, open_flag, optimize_flag, parse_num, share_explore_flags,
+    ArgError, Flags,
+};
 use crate::commands::RunStatus;
 
 /// Runs the partitioning service until a client sends `shutdown` (or,
@@ -21,26 +24,9 @@ use crate::commands::RunStatus;
 ///
 /// Returns bind/listener failures; per-request failures are answered on
 /// the wire.
-pub fn serve(opts: &ServeOptions) -> Result<RunStatus, Box<dyn Error>> {
-    let jobs = opts.jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    });
-    let config = ServeConfig {
-        workers: opts.workers,
-        max_inflight: opts.max_inflight,
-        jobs,
-        state_dir: opts.state_dir.as_ref().map(std::path::PathBuf::from),
-        snapshot_every: opts.snapshot_every,
-        standby: opts.standby,
-        peer: opts.peer.clone(),
-        max_connections: opts.max_connections,
-        idle_timeout_ms: opts.idle_timeout_ms,
-        max_requests_per_sec: opts.max_requests_per_sec,
-        cache_shards: opts.cache_shards,
-        cache_snapshot: opts.cache_snapshot.as_ref().map(std::path::PathBuf::from),
-        cache_snapshot_every: opts.cache_snapshot_every,
-    };
-    let server = Server::bind(opts.addr.as_str(), config)?;
+pub fn serve(addr: &str, config: ServeConfig) -> Result<RunStatus, Box<dyn Error>> {
+    let peer = config.peer.clone();
+    let server = Server::bind(addr, config)?;
     // The tests (and scripts) parse this line to discover an ephemeral
     // port; keep its shape stable (anything extra goes on later lines).
     println!(
@@ -54,7 +40,7 @@ pub fn serve(opts: &ServeOptions) -> Result<RunStatus, Box<dyn Error>> {
     } else if manager.is_standby() {
         println!("warm standby: refusing direct mutations until promoted");
     }
-    if let Some(peer) = opts.peer.as_deref() {
+    if let Some(peer) = peer {
         println!("replication peer: {peer}");
     }
     // Promotions/demotions land on stdout next to the banner so scripts
@@ -97,28 +83,22 @@ pub fn serve(opts: &ServeOptions) -> Result<RunStatus, Box<dyn Error>> {
 ///
 /// # Errors
 ///
-/// Returns bind/listener failures and malformed `--backend` specs;
-/// per-request failures are answered on the wire.
-pub fn router(opts: &RouterOptions) -> Result<RunStatus, Box<dyn Error>> {
-    let pairs = opts
-        .backends
-        .iter()
-        .map(|spec| BackendSpec::parse(spec))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(ArgError)?;
-    let config = RouterConfig {
-        pairs,
-        health_interval: std::time::Duration::from_millis(opts.health_interval_ms),
-    };
-    let router = Router::bind(opts.addr.as_str(), config)?;
+/// Returns bind/listener failures; per-request failures are answered on
+/// the wire.
+pub fn router(addr: &str, config: RouterConfig) -> Result<RunStatus, Box<dyn Error>> {
+    let pairs = config.pairs.clone();
+    let router = Router::bind(addr, config)?;
     // Same contract as the serve banner: tests parse this first line.
     println!(
         "chop-router listening on {} (protocol v{})",
         router.local_addr()?,
         chop_service::PROTOCOL_VERSION
     );
-    for backend in &opts.backends {
-        println!("backend pair: {backend}");
+    for pair in &pairs {
+        match &pair.standby {
+            Some(standby) => println!("backend pair: {},{standby}", pair.primary),
+            None => println!("backend pair: {}", pair.primary),
+        }
     }
     #[cfg(unix)]
     {
@@ -236,17 +216,12 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
             let spec = std::fs::read_to_string(spec_path)
                 .map_err(|e| ArgError(format!("cannot read {spec_path:?}: {e}")))?;
             let mut params = OpenParams { spec, ..OpenParams::default() };
-            let mut it = flags.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| -> Result<String, ArgError> {
-                    it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-                };
-                match arg.as_str() {
-                    "--partitions" | "-k" => params.partitions = parse_num(arg, &value(arg)?)?,
-                    "--chips" => params.chips = Some(parse_num(arg, &value(arg)?)?),
-                    "--package" => params.package_pins = parse_num(arg, &value(arg)?)?,
-                    "--perf" => params.performance_ns = parse_num(arg, &value(arg)?)?,
-                    "--delay" => params.delay_ns = parse_num(arg, &value(arg)?)?,
+            let mut flags = Flags::new(flags);
+            while let Some(flag) = flags.next() {
+                if open_flag(&mut params, flag, &mut flags)? {
+                    continue;
+                }
+                match flag {
                     "--single-cycle" => params.multi_cycle = false,
                     other => {
                         return Err(Box::new(ArgError(format!("unknown open option {other}"))))
@@ -260,35 +235,10 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
                 return Err(Box::new(ArgError("explore needs <session>".into())));
             };
             let mut params = ExploreParams::default();
-            let mut it = flags.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| -> Result<String, ArgError> {
-                    it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-                };
-                match arg.as_str() {
-                    "--heuristic" => {
-                        params.heuristic = match value(arg)?.as_str() {
-                            "e" | "E" => Heuristic::Enumeration,
-                            "i" | "I" => Heuristic::Iterative,
-                            _ => {
-                                return Err(Box::new(ArgError(
-                                    "--heuristic must be e or i".into(),
-                                )))
-                            }
-                        };
-                    }
-                    "--deadline" => {
-                        params.budget.deadline_ms = Some(parse_num(arg, &value(arg)?)?);
-                    }
-                    "--max-trials" => {
-                        params.budget.max_trials = Some(parse_num(arg, &value(arg)?)?);
-                    }
-                    "--jobs" | "-j" => params.jobs = Some(parse_num(arg, &value(arg)?)?),
-                    other => {
-                        return Err(Box::new(ArgError(format!(
-                            "unknown explore option {other}"
-                        ))))
-                    }
+            let mut flags = Flags::new(flags);
+            while let Some(flag) = flags.next() {
+                if !explore_flag(&mut params, flag, &mut flags)? {
+                    return Err(Box::new(ArgError(format!("unknown explore option {flag}"))));
                 }
             }
             Ok(Request::Explore { session: session.clone(), params })
@@ -297,63 +247,24 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
             let [session, flags @ ..] = rest else {
                 return Err(Box::new(ArgError("optimize needs <session>".into())));
             };
-            let mut params = OptimizeParams::default();
-            let mut it = flags.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| -> Result<String, ArgError> {
-                    it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-                };
-                match arg.as_str() {
-                    "--seed" => params.seed = parse_num(arg, &value(arg)?)?,
-                    "--heuristic" => {
-                        params.heuristic = match value(arg)?.as_str() {
-                            "e" | "E" => Heuristic::Enumeration,
-                            "i" | "I" => Heuristic::Iterative,
-                            _ => {
-                                return Err(Box::new(ArgError(
-                                    "--heuristic must be e or i".into(),
-                                )))
-                            }
-                        };
-                    }
-                    "--deadline" => {
-                        params.budget.deadline_ms = Some(parse_num(arg, &value(arg)?)?);
-                    }
-                    "--max-moves" => {
-                        params.budget.max_trials = Some(parse_num(arg, &value(arg)?)?);
-                    }
-                    "--kicks" => params.kicks = Some(parse_num(arg, &value(arg)?)?),
-                    "--kick-moves" => params.kick_moves = Some(parse_num(arg, &value(arg)?)?),
-                    "--jobs" | "-j" => params.jobs = Some(parse_num(arg, &value(arg)?)?),
-                    "--pin" => params.pinned.push(parse_num("--pin", &value(arg)?)?),
-                    "--group" => {
-                        let nodes = value(arg)?
-                            .split(',')
-                            .map(|n| parse_num("--group", n.trim()))
-                            .collect::<Result<Vec<u32>, _>>()?;
-                        if nodes.len() < 2 {
-                            return Err(Box::new(ArgError(
-                                "--group wants at least two node indices".into(),
-                            )));
-                        }
-                        params.groups.push(nodes);
-                    }
-                    "--exclude" => {
-                        let v = value(arg)?;
-                        let (a, b) = v
-                            .split_once(':')
-                            .ok_or_else(|| ArgError("--exclude wants A:B".into()))?;
-                        params
-                            .exclusions
-                            .push((parse_num("--exclude", a)?, parse_num("--exclude", b)?));
-                    }
-                    other => {
-                        return Err(Box::new(ArgError(format!(
-                            "unknown optimize option {other}"
-                        ))))
-                    }
+            // The optimizer flags, plus the explore flags an optimize run
+            // shares.
+            let (mut params, mut explore) =
+                (OptimizeParams::default(), ExploreParams::default());
+            let mut flags = Flags::new(flags);
+            while let Some(flag) = flags.next() {
+                if !(optimize_flag(&mut params, flag, &mut flags)?
+                    || explore_flag(&mut explore, flag, &mut flags)?)
+                {
+                    return Err(Box::new(ArgError(format!("unknown optimize option {flag}"))));
                 }
             }
+            if explore.budget.max_trials.is_some() {
+                return Err(Box::new(ArgError(
+                    "optimize caps move evaluations with --max-moves, not --max-trials".into(),
+                )));
+            }
+            share_explore_flags(&mut params, &explore);
             Ok(Request::Optimize { session: session.clone(), params })
         }
         "apply-moves" => {
@@ -394,27 +305,21 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
                     "set-constraints needs <session> --perf <ns> --delay <ns>".into(),
                 )));
             };
-            let (mut perf, mut delay) = (None, None);
-            let mut it = flags.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| -> Result<String, ArgError> {
-                    it.next().cloned().ok_or_else(|| ArgError(format!("{flag} needs a value")))
-                };
-                match arg.as_str() {
-                    "--perf" => perf = Some(parse_num(arg, &value(arg)?)?),
-                    "--delay" => delay = Some(parse_num(arg, &value(arg)?)?),
-                    other => {
-                        return Err(Box::new(ArgError(format!(
-                            "unknown set-constraints option {other}"
-                        ))))
-                    }
+            // NaN marks a constraint not given.
+            let (mut performance_ns, mut delay_ns) = (f64::NAN, f64::NAN);
+            let mut flags = Flags::new(flags);
+            while let Some(flag) = flags.next() {
+                if !constraint_flag(&mut performance_ns, &mut delay_ns, flag, &mut flags)? {
+                    return Err(Box::new(ArgError(format!(
+                        "unknown set-constraints option {flag}"
+                    ))));
                 }
             }
-            let (Some(performance_ns), Some(delay_ns)) = (perf, delay) else {
+            if performance_ns.is_nan() || delay_ns.is_nan() {
                 return Err(Box::new(ArgError(
                     "set-constraints needs both --perf and --delay".into(),
                 )));
-            };
+            }
             Ok(Request::SetConstraints { session: session.clone(), performance_ns, delay_ns })
         }
         "stats" => match rest {
@@ -442,10 +347,6 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
         "shutdown" => Ok(Request::Shutdown),
         other => Err(Box::new(ArgError(format!("unknown client command {other:?}")))),
     }
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, ArgError> {
-    text.parse().map_err(|_| ArgError(format!("bad value for {flag}")))
 }
 
 /// Renders a response into `out` and maps it to an exit status. Typed
@@ -633,6 +534,8 @@ fn run_status(run: &RunSummary) -> RunStatus {
 
 #[cfg(test)]
 mod tests {
+    use chop_core::prelude::Heuristic;
+
     use super::*;
 
     fn s(v: &[&str]) -> Vec<String> {
@@ -694,11 +597,20 @@ mod tests {
                 "3,4",
                 "--exclude",
                 "5:6",
+                "--heuristic",
+                "e",
+                "--deadline",
+                "100",
+                "--jobs",
+                "2",
             ]),
         )
         .unwrap();
         let Request::Optimize { params, .. } = req else { panic!() };
         assert_eq!(params.seed, 9);
+        assert_eq!(params.heuristic, Heuristic::Enumeration);
+        assert_eq!(params.budget.deadline_ms, Some(100));
+        assert_eq!(params.jobs, Some(2));
         assert_eq!(params.budget.max_trials, Some(64));
         assert_eq!(params.kicks, Some(1));
         assert_eq!(params.pinned, vec![2]);
@@ -761,6 +673,7 @@ mod tests {
         assert!(parse_client_request("optimize", &[]).is_err());
         assert!(parse_client_request("optimize", &s(&["a", "--seed", "entropy"])).is_err());
         assert!(parse_client_request("optimize", &s(&["a", "--group", "1"])).is_err());
+        assert!(parse_client_request("optimize", &s(&["a", "--max-trials", "5"])).is_err());
         assert!(parse_client_request("apply-moves", &s(&["a", "3"])).is_err());
         assert!(parse_client_request("add-pair", &[]).is_err());
         assert!(parse_client_request("remove-pair", &[]).is_err());

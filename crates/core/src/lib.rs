@@ -85,5 +85,5 @@ pub use explorer::{DesignPoint, Heuristic, PartitionPredictions, SearchOutcome, 
 pub use fault::{AppendFault, FaultPlan, IoFaultPlan};
 pub use feasibility::{Constraints, FeasibilityCriteria, Verdict, Violation};
 pub use integration::{IntegrationContext, SystemPrediction, TransferModulePrediction};
-pub use optimize::{AppliedMove, MoveKind, ObjectiveWeights, OptimizeResult, OptimizeSpec};
+pub use optimize::{AppliedMove, MoveKind, OptimizeResult, OptimizeSpec};
 pub use spec::{MemoryAssignment, PartitionId, Partitioning};

@@ -69,31 +69,10 @@ const INFEASIBLE_BASE: f64 = 1e18;
 /// the strongest gradient an infeasible start can descend.
 const STARVED_PENALTY: f64 = 1e12;
 
-/// Relative weights of the optimizer's objective terms.
-///
-/// For feasible states the score is the weighted sum of the best
-/// implementation's likely initiation interval, latency and total chip
-/// area (all minimized). For infeasible states the score is a large
-/// constant plus `cut_bits` times the total inter-partition cut width —
-/// the classic FM objective — so the search has a gradient toward
-/// feasibility long before any implementation exists.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObjectiveWeights {
-    /// Weight of the likely system initiation interval (ns).
-    pub initiation_ns: f64,
-    /// Weight of the likely system delay (ns).
-    pub delay_ns: f64,
-    /// Weight of the summed likely chip areas (mil²).
-    pub area: f64,
-    /// Weight of the total inter-partition cut bits while infeasible.
-    pub cut_bits: f64,
-}
-
-impl Default for ObjectiveWeights {
-    fn default() -> Self {
-        Self { initiation_ns: 1.0, delay_ns: 1.0, area: 0.0, cut_bits: 1.0 }
-    }
-}
+/// Starting Metropolis temperature of the annealing kicks.
+const INITIAL_TEMPERATURE: f64 = 1_000.0;
+/// Geometric cooling factor applied after every kick move.
+const COOLING: f64 = 0.9;
 
 /// Builder-style configuration for [`Session::optimize`].
 ///
@@ -109,9 +88,6 @@ pub struct OptimizeSpec {
     pub(crate) deadline: Option<Duration>,
     pub(crate) kicks: u32,
     pub(crate) kick_moves: u32,
-    pub(crate) initial_temperature: f64,
-    pub(crate) cooling: f64,
-    pub(crate) weights: ObjectiveWeights,
     pub(crate) pinned: Vec<NodeId>,
     pub(crate) groups: Vec<Vec<NodeId>>,
     pub(crate) exclusions: Vec<(NodeId, NodeId)>,
@@ -126,9 +102,6 @@ impl Default for OptimizeSpec {
             deadline: None,
             kicks: 2,
             kick_moves: 3,
-            initial_temperature: 1_000.0,
-            cooling: 0.9,
-            weights: ObjectiveWeights::default(),
             pinned: Vec::new(),
             groups: Vec::new(),
             exclusions: Vec::new(),
@@ -178,23 +151,6 @@ impl OptimizeSpec {
     pub fn with_kicks(mut self, kicks: u32, kick_moves: u32) -> Self {
         self.kicks = kicks;
         self.kick_moves = kick_moves;
-        self
-    }
-
-    /// Metropolis temperature schedule for kicks: the starting
-    /// temperature and the geometric cooling factor applied after every
-    /// kick move.
-    #[must_use]
-    pub fn with_annealing(mut self, initial_temperature: f64, cooling: f64) -> Self {
-        self.initial_temperature = initial_temperature;
-        self.cooling = cooling;
-        self
-    }
-
-    /// Overrides the objective weights.
-    #[must_use]
-    pub fn with_weights(mut self, weights: ObjectiveWeights) -> Self {
-        self.weights = weights;
         self
     }
 
@@ -634,7 +590,7 @@ impl Search<'_> {
         known[c.to.index()] = None;
         let (outcome, hashes) = engine::explore(&session, self.spec.heuristic, &known)?;
         self.evaluations += 1;
-        let score = score_state(session.partitioning(), &outcome, &self.spec.weights);
+        let score = score_state(session.partitioning(), &outcome);
         Ok(Evaluated { session, outcome, score, hashes })
     }
 
@@ -650,27 +606,24 @@ impl Search<'_> {
     }
 }
 
-/// The deterministic objective. Feasible states score their best
-/// implementation's weighted sum; infeasible states score a large
-/// constant plus starved-partition and cut-width pressure, so descent
-/// has a gradient toward feasibility.
-fn score_state(p: &Partitioning, o: &SearchOutcome, w: &ObjectiveWeights) -> f64 {
+/// The deterministic objective, minimized. A feasible state scores its
+/// best implementation's likely initiation interval plus likely system
+/// delay (ns). An infeasible state scores a large constant plus
+/// starved-partition pressure plus the total inter-partition cut bits —
+/// the classic FM objective — so descent has a gradient toward
+/// feasibility long before any implementation exists.
+fn score_state(p: &Partitioning, o: &SearchOutcome) -> f64 {
     let best = o
         .feasible
         .iter()
-        .map(|f| {
-            let area: f64 = f.system.chip_areas.iter().map(|a| a.likely()).sum();
-            w.initiation_ns * f.system.initiation_ns.likely()
-                + w.delay_ns * f.system.delay_ns.likely()
-                + w.area * area
-        })
+        .map(|f| f.system.initiation_ns.likely() + f.system.delay_ns.likely())
         .min_by(f64::total_cmp);
     if let Some(s) = best {
         return s;
     }
     let cut_bits: u64 = p.inter_partition_cuts().iter().map(|c| c.bits.value()).sum();
     let starved = o.prediction_stats.iter().filter(|s| s.feasible == 0).count();
-    INFEASIBLE_BASE + STARVED_PENALTY * starved as f64 + w.cut_bits * cut_bits as f64
+    INFEASIBLE_BASE + STARVED_PENALTY * starved as f64 + cut_bits as f64
         - o.feasible_predictions() as f64
 }
 
@@ -799,7 +752,7 @@ impl Session {
         }
         let timer = BudgetTimer::start(budget);
         let (outcome, hashes) = engine::explore(self, spec.heuristic, &[])?;
-        let score = score_state(self.partitioning(), &outcome, &spec.weights);
+        let score = score_state(self.partitioning(), &outcome);
         let mut search = Search {
             spec,
             cut: CutWeights::new(self.partitioning(), &units),
@@ -816,7 +769,7 @@ impl Session {
         let initial_score = search.score;
         let initial_outcome = search.outcome.clone();
         let mut rng = Rng::new(spec.seed);
-        let mut temp = spec.initial_temperature;
+        let mut temp = INITIAL_TEMPERATURE;
         let mut moves: Vec<AppliedMove> = Vec::new();
         let mut best: Option<(Session, SearchOutcome, f64, usize)> = None;
         let mut passes = 0u32;
@@ -897,7 +850,7 @@ impl Session {
                 let delta = score - search.score;
                 let accept =
                     delta < 0.0 || (temp > 0.0 && rng.next_f64() < (-delta / temp).exp());
-                temp *= spec.cooling;
+                temp *= COOLING;
                 if accept {
                     moves.push(AppliedMove {
                         nodes: search.units[cand.unit].nodes.clone(),

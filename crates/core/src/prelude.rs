@@ -52,9 +52,7 @@ pub use crate::explorer::{
 pub use crate::fault::{AppendFault, FaultPlan, IoFaultPlan};
 pub use crate::feasibility::{Constraints, FeasibilityCriteria, Verdict, Violation};
 pub use crate::integration::{IntegrationContext, SystemPrediction, TransferModulePrediction};
-pub use crate::optimize::{
-    AppliedMove, MoveKind, ObjectiveWeights, OptimizeResult, OptimizeSpec,
-};
+pub use crate::optimize::{AppliedMove, MoveKind, OptimizeResult, OptimizeSpec};
 pub use crate::spec::{
     BuildError, MemoryAssignment, PartitionId, Partitioning, PartitioningBuilder, SpecError,
 };

@@ -66,6 +66,14 @@ impl fmt::Display for MemoryAssignment {
 pub enum SpecError {
     /// The chip set is empty.
     NoChips,
+    /// A horizontal cut asked for a partition count outside
+    /// `1..=nodes` for this specification.
+    PartitionCount {
+        /// Partitions requested.
+        requested: usize,
+        /// Nodes in the specification.
+        nodes: usize,
+    },
     /// The partition→chip assignment does not cover every partition.
     ChipAssignmentLength {
         /// Partitions in the grouping.
@@ -98,6 +106,9 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::NoChips => write!(f, "chip set is empty"),
+            SpecError::PartitionCount { requested, nodes } => {
+                write!(f, "partition count {requested} is outside 1..={nodes}")
+            }
             SpecError::ChipAssignmentLength { partitions, assignments } => {
                 write!(f, "{assignments} chip assignments supplied for {partitions} partitions")
             }
@@ -448,7 +459,9 @@ impl fmt::Display for Partitioning {
 pub struct PartitioningBuilder {
     dfg: Dfg,
     chips: ChipSet,
-    grouping: Option<Grouping>,
+    /// The grouping to build with, or the error a bad horizontal cut
+    /// reports from [`build`](Self::build).
+    grouping: Option<Result<Grouping, SpecError>>,
     partition_chip: Option<Vec<ChipId>>,
     memories: Vec<MemoryModule>,
     memory_assignment: Vec<MemoryAssignment>,
@@ -471,26 +484,29 @@ impl PartitioningBuilder {
     /// Uses a single partition containing the whole specification.
     #[must_use]
     pub fn single_partition(mut self) -> Self {
-        self.grouping = Some(Grouping::single(&self.dfg));
+        self.grouping = Some(Ok(Grouping::single(&self.dfg)));
         self
     }
 
     /// Splits the graph into `k` topological slices of roughly equal size —
-    /// the "horizontal cut" partitioning of the paper's experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or exceeds the node count.
+    /// the "horizontal cut" partitioning of the paper's experiments. A `k`
+    /// of zero or above the node count makes [`build`](Self::build) return
+    /// [`SpecError::PartitionCount`].
     #[must_use]
     pub fn split_horizontal(mut self, k: usize) -> Self {
-        self.grouping = Some(Grouping::horizontal(&self.dfg, k));
+        let nodes = self.dfg.len();
+        self.grouping = Some(if (1..=nodes).contains(&k) {
+            Ok(Grouping::horizontal(&self.dfg, k))
+        } else {
+            Err(SpecError::PartitionCount { requested: k, nodes })
+        });
         self
     }
 
     /// Uses an explicit node grouping.
     #[must_use]
     pub fn with_grouping(mut self, grouping: Grouping) -> Self {
-        self.grouping = Some(grouping);
+        self.grouping = Some(Ok(grouping));
         self
     }
 
@@ -515,17 +531,17 @@ impl PartitioningBuilder {
     /// # Errors
     ///
     /// Returns a [`SpecError`] or [`GroupingError`] (via [`BuildError`])
-    /// describing the first problem found: empty chip set, bad chip ids,
-    /// undeclared memories, placement mismatches or mutual data dependency
-    /// between partitions.
+    /// describing the first problem found: a partition count outside the
+    /// node range, empty chip set, bad chip ids, undeclared memories,
+    /// placement mismatches or mutual data dependency between partitions.
     pub fn build(self) -> Result<Partitioning, BuildError> {
+        let grouping = match self.grouping {
+            Some(g) => g?,
+            None => Grouping::single(&self.dfg),
+        };
         if self.chips.is_empty() {
             return Err(SpecError::NoChips.into());
         }
-        let grouping = match self.grouping {
-            Some(g) => g,
-            None => Grouping::single(&self.dfg),
-        };
         grouping.check_no_mutual_dependency(&self.dfg)?;
         let k = grouping.group_count();
         let partition_chip = match self.partition_chip {
@@ -644,6 +660,22 @@ mod tests {
         let err =
             PartitioningBuilder::new(benchmarks::diffeq(), ChipSet::new()).build().unwrap_err();
         assert_eq!(err, BuildError::Spec(SpecError::NoChips));
+    }
+
+    #[test]
+    fn out_of_range_horizontal_cut_is_a_typed_error() {
+        let dfg = benchmarks::diffeq();
+        let nodes = dfg.len();
+        for k in [0, nodes + 1] {
+            let err = PartitioningBuilder::new(dfg.clone(), chips(k.max(1)))
+                .split_horizontal(k)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                BuildError::Spec(SpecError::PartitionCount { requested: k, nodes })
+            );
+        }
     }
 
     #[test]

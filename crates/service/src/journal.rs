@@ -57,6 +57,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use chop_core::cache::snapshot::crc32;
+
 use crate::protocol::Request;
 
 #[cfg(feature = "fault-inject")]
@@ -106,21 +108,6 @@ impl std::fmt::Debug for Journal {
             .field("snapshot_every", &self.snapshot_every)
             .finish_non_exhaustive()
     }
-}
-
-/// CRC-32 (IEEE 802.3), bitwise — no table, the journal is not a hot
-/// path (every record also pays an `fsync`).
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Validates one journal line, returning its payload on success.
@@ -353,13 +340,6 @@ mod tests {
                 ..OpenParams::default()
             },
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -671,15 +671,8 @@ impl SessionManager {
             let managed = sessions.get(name).ok_or_else(|| unknown_session(name))?;
             (managed.session.clone(), managed.generation)
         };
-        let mut budget = SearchBudget::default();
-        if let Some(ms) = params.budget.deadline_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(n) = params.budget.max_trials {
-            budget = budget.with_max_trials(usize::try_from(n).unwrap_or(usize::MAX));
-        }
         let outcome = session
-            .with_budget(budget)
+            .with_budget(params.budget.search_budget())
             .with_jobs(self.jobs(params.jobs))
             .explore(params.heuristic)
             .map_err(engine_error)?;
@@ -1320,8 +1313,15 @@ fn resolve_moves(
 }
 
 /// Builds the core [`OptimizeSpec`] an `optimize` request describes,
-/// resolving its node indices against the session.
-fn optimize_spec(
+/// resolving its node indices against the session. The one place an
+/// [`OptimizeSpec`] is built from request parameters: the server's
+/// `optimize` and the local `chop optimize` both call it.
+///
+/// # Errors
+///
+/// [`ErrorKind::Spec`] for a pinned, grouped or excluded node index the
+/// session's DFG does not have.
+pub fn optimize_spec(
     session: &Session,
     params: &OptimizeParams,
 ) -> Result<OptimizeSpec, ServiceError> {
@@ -1353,9 +1353,10 @@ fn optimize_spec(
     Ok(spec)
 }
 
-/// Builds a core [`Session`] from wire parameters, mirroring the `chop
-/// check` defaults: uniform MOSIS packages, a horizontal cut, referenced
-/// memory blocks declared as off-the-shelf external parts.
+/// Builds a core [`Session`] from wire parameters the way `chop check`
+/// builds one from its flags — uniform MOSIS packages, a horizontal cut,
+/// referenced memory blocks declared as off-the-shelf external parts —
+/// except that [`OpenParams`] defaults to multi-cycle operations.
 ///
 /// Exposed so tests (and embedders) can reproduce the exact session a
 /// server builds for an `open` request and compare
@@ -1368,17 +1369,7 @@ fn optimize_spec(
 pub fn build_session(params: &OpenParams, jobs: usize) -> Result<Session, ServiceError> {
     let spec_err = |m: String| ServiceError::new(ErrorKind::Spec, m);
     let dfg = parse_dfg(&params.spec).map_err(|e| spec_err(e.to_string()))?;
-    let partitions = params.partitions as usize;
-    if partitions == 0 || partitions > dfg.len() {
-        return Err(spec_err(format!(
-            "partitions must be in 1..={} for this spec, got {partitions}",
-            dfg.len()
-        )));
-    }
     let chip_count = params.chips.unwrap_or(params.partitions) as usize;
-    if chip_count == 0 {
-        return Err(spec_err("chip count must be at least 1".into()));
-    }
     if params.package_pins != 64 && params.package_pins != 84 {
         return Err(spec_err(format!(
             "package_pins must be 64 or 84 (Table 2), got {}",
@@ -1399,7 +1390,8 @@ pub fn build_session(params: &OpenParams, jobs: usize) -> Result<Session, Servic
             max_memory = Some(max_memory.map_or(m.index(), |x| x.max(m.index())));
         }
     }
-    let mut builder = PartitioningBuilder::new(dfg, chips).split_horizontal(partitions);
+    let mut builder =
+        PartitioningBuilder::new(dfg, chips).split_horizontal(params.partitions as usize);
     if let Some(max) = max_memory {
         for _ in 0..=max {
             builder = builder.with_memory(example_off_shelf_ram(), MemoryAssignment::External);

@@ -41,9 +41,10 @@
 //! `DESIGN.md` §11.
 
 use std::fmt;
+use std::time::Duration;
 
 use chop_core::prelude::{
-    CacheStats, Completion, Heuristic, MoveKind, OptimizeResult, SearchOutcome,
+    CacheStats, Completion, Heuristic, MoveKind, OptimizeResult, SearchBudget, SearchOutcome,
 };
 
 use crate::json::{self, Value};
@@ -134,8 +135,10 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// Parameters of an `open` request — everything needed to build a
-/// [`Session`](chop_core::Session) server-side. Mirrors the `chop check`
-/// flags; fields omitted on the wire take these defaults.
+/// [`Session`](chop_core::Session) server-side. Fields omitted on the wire
+/// take these defaults. `chop check` parses its matching flags into this
+/// type too, but starts from single-cycle operations, where a wire `open`
+/// defaults to multi-cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenParams {
     /// The behavioral spec, inline, in the `.cbs` text format.
@@ -193,6 +196,20 @@ impl BudgetEnvelope {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.deadline_ms.is_none() && self.max_trials.is_none()
+    }
+
+    /// The core search budget these bounds describe, with the core's
+    /// defaults for everything else.
+    #[must_use]
+    pub fn search_budget(&self) -> SearchBudget {
+        let mut budget = SearchBudget::default();
+        if let Some(ms) = self.deadline_ms {
+            budget = budget.with_deadline(Duration::from_millis(ms));
+        }
+        if let Some(n) = self.max_trials {
+            budget = budget.with_max_trials(usize::try_from(n).unwrap_or(usize::MAX));
+        }
+        budget
     }
 }
 

@@ -92,10 +92,6 @@ pub struct ServeConfig {
     /// is the window's remaining lifetime) and the connection stays
     /// open. 0 disables the cap.
     pub max_requests_per_sec: u32,
-    /// Lock stripes in the shared prediction cache (rounded up to a
-    /// power of two). 0 sizes the stripe automatically from the worker
-    /// and jobs counts. Shard count never affects exploration results.
-    pub cache_shards: usize,
     /// Path of the prediction-cache snapshot file: loaded at startup
     /// (warm-starting the cache) and rewritten on graceful drain and
     /// every [`cache_snapshot_every`](ServeConfig::cache_snapshot_every)
@@ -119,7 +115,6 @@ impl Default for ServeConfig {
             max_connections: 4096,
             idle_timeout_ms: 600_000,
             max_requests_per_sec: 0,
-            cache_shards: 0,
             cache_snapshot: None,
             cache_snapshot_every: 256,
         }
@@ -152,11 +147,7 @@ impl Server {
         // Size the lock stripe to the most threads that can be in the
         // cache at once: `workers` concurrent explores, each running
         // `jobs` prediction threads.
-        let shards = if config.cache_shards > 0 {
-            config.cache_shards
-        } else {
-            recommended_shards(config.workers.max(1) * config.jobs.max(1))
-        };
+        let shards = recommended_shards(config.workers.max(1) * config.jobs.max(1));
         let cache = Arc::new(PredictionCache::with_config(DEFAULT_CACHE_CAPACITY, shards));
         // Warm-start before journal replay arms: replayed sessions share
         // this cache, so their first explores hit the restored entries.
