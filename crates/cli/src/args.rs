@@ -153,12 +153,12 @@ pub fn open_flag(
             }
         }
         _ => {
-            return constraint_flag(
-                &mut params.performance_ns,
-                &mut params.delay_ns,
-                flag,
-                flags,
-            )
+            let (mut performance_ns, mut delay_ns) = (None, None);
+            if !constraint_flag(&mut performance_ns, &mut delay_ns, flag, flags)? {
+                return Ok(false);
+            }
+            params.performance_ns = performance_ns.unwrap_or(params.performance_ns);
+            params.delay_ns = delay_ns.unwrap_or(params.delay_ns);
         }
     }
     Ok(true)
@@ -167,14 +167,14 @@ pub fn open_flag(
 /// Applies `flag` if it is a constraint flag (`--perf`, `--delay`, in
 /// ns), the part of the open flags `set-constraints` takes too.
 pub fn constraint_flag(
-    performance_ns: &mut f64,
-    delay_ns: &mut f64,
+    performance_ns: &mut Option<f64>,
+    delay_ns: &mut Option<f64>,
     flag: &str,
     flags: &mut Flags<'_>,
 ) -> Result<bool, ArgError> {
     match flag {
-        "--perf" => *performance_ns = flags.num(flag)?,
-        "--delay" => *delay_ns = flags.num(flag)?,
+        "--perf" => *performance_ns = Some(flags.num(flag)?),
+        "--delay" => *delay_ns = Some(flags.num(flag)?),
         _ => return Ok(false),
     }
     Ok(true)
@@ -197,7 +197,7 @@ pub fn explore_flag(
         }
         "--deadline" => params.budget.deadline_ms = Some(flags.num(flag)?),
         "--max-trials" => params.budget.max_trials = Some(flags.num(flag)?),
-        "--jobs" | "-j" => params.jobs = Some(flags.at_least_one(flag)?),
+        "--jobs" | "-j" => params.jobs = Some(flags.num(flag)?),
         _ => return Ok(false),
     }
     Ok(true)
@@ -330,6 +330,11 @@ fn parse(
             }
             spec => positional.push(spec),
         }
+    }
+    // The local commands refuse zero threads; `chop client` sends it and
+    // the server runs one.
+    if opts.explore.jobs == Some(0) {
+        return Err(ArgError("--jobs must be at least 1".into()));
     }
     match positional.as_slice() {
         [spec] => opts.spec = (*spec).to_owned(),

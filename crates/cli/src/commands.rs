@@ -11,7 +11,7 @@ use chop_library::standard::{
     table2_packages,
 };
 use chop_library::{ChipId, ChipSet};
-use chop_service::{optimize_spec, OptimizeParams};
+use chop_service::{chip_count, memory_blocks, optimize_spec, resolve_node, OptimizeParams};
 use chop_stat::units::{MilliWatts, Nanos};
 
 use crate::args::{
@@ -36,7 +36,8 @@ USAGE:
 
 OPTIONS (check / tasks):
   --partitions, -k <N>     partitions via horizontal cut   [1]
-  --chips <N>              chips in the set                [= partitions]
+  --chips <N>              chips in the set, at most one   [= partitions]
+                           per node
   --package <64|84>        MOSIS package pins (Table 2)    [84]
   --perf <ns>              performance constraint          [30000]
   --delay <ns>             system-delay constraint         [30000]
@@ -240,34 +241,21 @@ fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
     let open = &opts.open;
     let packages = table2_packages();
     let package = if open.package_pins == 64 { &packages[0] } else { &packages[1] };
-    let chips =
-        ChipSet::uniform(package.clone(), open.chips.unwrap_or(open.partitions) as usize);
+    let chips = ChipSet::uniform(package.clone(), chip_count(open, dfg.len())?);
 
     // Declare every memory block the spec references. Default:
     // off-the-shelf external part; --on-chip-memory overrides.
-    let mut max_memory: Option<u32> = None;
-    for (_, node) in dfg.nodes() {
-        if let Some(m) = node.op().memory() {
-            max_memory = Some(max_memory.map_or(m.index(), |x| x.max(m.index())));
-        }
-    }
+    let memories = memory_blocks(&dfg);
     let mut builder =
         PartitioningBuilder::new(dfg, chips).split_horizontal(open.partitions as usize);
-    if let Some(max) = max_memory {
-        for m in 0..=max {
-            match opts.on_chip_memories.iter().find(|(mi, _)| *mi == m) {
-                Some((_, chip)) => {
-                    builder = builder.with_memory(
-                        example_on_chip_ram(),
-                        MemoryAssignment::OnChip(ChipId::new(*chip)),
-                    );
-                }
-                None => {
-                    builder = builder
-                        .with_memory(example_off_shelf_ram(), MemoryAssignment::External);
-                }
-            }
-        }
+    for m in 0..memories {
+        builder = match opts.on_chip_memories.iter().find(|&&(mi, _)| mi as usize == m) {
+            Some(&(_, chip)) => builder.with_memory(
+                example_on_chip_ram(),
+                MemoryAssignment::OnChip(ChipId::new(chip)),
+            ),
+            None => builder.with_memory(example_off_shelf_ram(), MemoryAssignment::External),
+        };
     }
     let partitioning = builder.build()?;
 
@@ -388,14 +376,8 @@ fn check(opts: &Options) -> Result<RunStatus, Box<dyn Error>> {
     let mut runs: Vec<(&str, &SearchOutcome)> = vec![("baseline", &outcome)];
     let status = match opts.move_node {
         Some((node, part)) => {
-            let node_id = session
-                .partitioning()
-                .dfg()
-                .nodes()
-                .map(|(id, _)| id)
-                .find(|id| id.index() == node as usize)
-                .ok_or_else(|| ArgError(format!("--move-node: no node with index {node}")))?;
-            let moved = session.repartition(node_id, PartitionId::new(part))?;
+            let moved =
+                session.repartition(resolve_node(&session, node)?, PartitionId::new(part))?;
             println!("\nWHAT-IF: node {node} moved to partition {part}, re-exploring");
             moved_outcome = moved.explore(heuristic)?;
             report_outcome(opts, &moved_outcome, &moved);

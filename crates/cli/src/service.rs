@@ -305,8 +305,7 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
                     "set-constraints needs <session> --perf <ns> --delay <ns>".into(),
                 )));
             };
-            // NaN marks a constraint not given.
-            let (mut performance_ns, mut delay_ns) = (f64::NAN, f64::NAN);
+            let (mut performance_ns, mut delay_ns) = (None, None);
             let mut flags = Flags::new(flags);
             while let Some(flag) = flags.next() {
                 if !constraint_flag(&mut performance_ns, &mut delay_ns, flag, &mut flags)? {
@@ -315,11 +314,11 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
                     ))));
                 }
             }
-            if performance_ns.is_nan() || delay_ns.is_nan() {
+            let (Some(performance_ns), Some(delay_ns)) = (performance_ns, delay_ns) else {
                 return Err(Box::new(ArgError(
                     "set-constraints needs both --perf and --delay".into(),
                 )));
-            }
+            };
             Ok(Request::SetConstraints { session: session.clone(), performance_ns, delay_ns })
         }
         "stats" => match rest {
@@ -637,6 +636,18 @@ mod tests {
             }
         );
         assert!(parse_client_request("set-constraints", &s(&["a", "--perf", "1"])).is_err());
+        // A non-finite constraint is the server's to refuse, with its typed error.
+        let req = parse_client_request(
+            "set-constraints",
+            &s(&["a", "--perf", "nan", "--delay", "5"]),
+        )
+        .unwrap();
+        let Request::SetConstraints { performance_ns, .. } = req else { panic!() };
+        assert!(performance_ns.is_nan());
+        // Zero threads is sent as given; the server runs one.
+        for command in ["explore", "optimize"] {
+            assert!(parse_client_request(command, &s(&["a", "--jobs", "0"])).is_ok());
+        }
         assert!(parse_client_request("set-constraints", &s(&["a", "--bogus", "1"])).is_err());
         assert!(parse_client_request("set-constraints", &[]).is_err());
     }

@@ -24,3 +24,19 @@ fn out_of_range_partition_counts_are_typed_errors() {
         }
     }
 }
+
+#[test]
+fn hostile_chip_and_partition_counts_are_refused_before_allocation() {
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/mac.cbs");
+    let max = u32::MAX.to_string();
+    for args in [["-k", max.as_str()], ["--chips", max.as_str()], ["--chips", "0"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_chop"))
+            .args(["check", spec])
+            .args(args)
+            .output()
+            .expect("spawn chop");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "chop check {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "chop check {args:?}: {stderr}");
+    }
+}

@@ -430,6 +430,7 @@ mod tests {
     fn crc_matches_known_vector() {
         // The standard IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

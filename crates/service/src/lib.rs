@@ -56,7 +56,10 @@ pub mod server;
 
 pub use client::{Client, ClientError, RetryPolicy, DEFAULT_CONNECT_TIMEOUT};
 pub use journal::{Journal, JournalEntry, JournalScan};
-pub use manager::{build_session, optimize_spec, RecoveryReport, SessionManager};
+pub use manager::{
+    build_session, chip_count, memory_blocks, optimize_spec, resolve_node, RecoveryReport,
+    SessionManager,
+};
 pub use net::ShutdownGate;
 pub use protocol::{
     BudgetEnvelope, ErrorKind, ExploreParams, MoveSummary, OpenParams, OptimizeParams,

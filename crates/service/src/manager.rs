@@ -1291,7 +1291,11 @@ fn check_constraints(performance_ns: f64, delay_ns: f64) -> Result<(), ServiceEr
 }
 
 /// Resolves a wire node index against a session's DFG.
-fn resolve_node(session: &Session, node: u32) -> Result<chop_dfg::NodeId, ServiceError> {
+///
+/// # Errors
+///
+/// [`ErrorKind::Spec`] when the DFG has no node with that index.
+pub fn resolve_node(session: &Session, node: u32) -> Result<chop_dfg::NodeId, ServiceError> {
     session
         .partitioning()
         .dfg()
@@ -1353,6 +1357,35 @@ pub fn optimize_spec(
     Ok(spec)
 }
 
+/// The number of memory blocks `dfg` references: one past its highest
+/// block index, so every block up to that one gets declared.
+pub fn memory_blocks(dfg: &chop_dfg::Dfg) -> usize {
+    dfg.nodes()
+        .filter_map(|(_, n)| n.op().memory())
+        .map(|m| m.index() as usize + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+/// The size of the uniform chip set for `params` on a spec of `nodes`
+/// operations: `chips`, or one chip per partition, never above `nodes`, so
+/// a hostile count never reaches the chip-set allocation. (An out-of-range
+/// partition count is refused later, by the partitioning builder.)
+///
+/// # Errors
+///
+/// [`ErrorKind::Spec`] for an explicit chip count outside `1..=nodes`.
+pub fn chip_count(params: &OpenParams, nodes: usize) -> Result<usize, ServiceError> {
+    match params.chips {
+        Some(c) if c == 0 || c as usize > nodes => Err(ServiceError::new(
+            ErrorKind::Spec,
+            format!("chip count {c} is outside 1..={nodes}"),
+        )),
+        Some(c) => Ok(c as usize),
+        None => Ok((params.partitions as usize).min(nodes)),
+    }
+}
+
 /// Builds a core [`Session`] from wire parameters the way `chop check`
 /// builds one from its flags — uniform MOSIS packages, a horizontal cut,
 /// referenced memory blocks declared as off-the-shelf external parts —
@@ -1369,7 +1402,7 @@ pub fn optimize_spec(
 pub fn build_session(params: &OpenParams, jobs: usize) -> Result<Session, ServiceError> {
     let spec_err = |m: String| ServiceError::new(ErrorKind::Spec, m);
     let dfg = parse_dfg(&params.spec).map_err(|e| spec_err(e.to_string()))?;
-    let chip_count = params.chips.unwrap_or(params.partitions) as usize;
+    let chip_count = chip_count(params, dfg.len())?;
     if params.package_pins != 64 && params.package_pins != 84 {
         return Err(spec_err(format!(
             "package_pins must be 64 or 84 (Table 2), got {}",
@@ -1384,18 +1417,11 @@ pub fn build_session(params: &OpenParams, jobs: usize) -> Result<Session, Servic
 
     // Declare every memory block the spec references as an off-the-shelf
     // external part (protocol v1 has no on-chip memory placement).
-    let mut max_memory: Option<u32> = None;
-    for (_, node) in dfg.nodes() {
-        if let Some(m) = node.op().memory() {
-            max_memory = Some(max_memory.map_or(m.index(), |x| x.max(m.index())));
-        }
-    }
+    let memories = memory_blocks(&dfg);
     let mut builder =
         PartitioningBuilder::new(dfg, chips).split_horizontal(params.partitions as usize);
-    if let Some(max) = max_memory {
-        for _ in 0..=max {
-            builder = builder.with_memory(example_off_shelf_ram(), MemoryAssignment::External);
-        }
+    for _ in 0..memories {
+        builder = builder.with_memory(example_off_shelf_ram(), MemoryAssignment::External);
     }
     let partitioning = builder.build().map_err(|e| spec_err(e.to_string()))?;
 
@@ -1579,6 +1605,13 @@ mod tests {
         assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
         let bad = OpenParams { partitions: 99, ..open_params(99) };
         assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
+        // Hostile counts are refused before any chip set is allocated.
+        let bad = open_params(u32::MAX);
+        assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
+        for chips in [0, 6, u32::MAX] {
+            let bad = OpenParams { chips: Some(chips), ..open_params(1) };
+            assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
+        }
         let bad = OpenParams { package_pins: 40, ..open_params(1) };
         assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
         let bad = OpenParams { performance_ns: 0.0, ..open_params(1) };
