@@ -10,7 +10,6 @@
 use std::fmt;
 
 use chop_stat::units::{Nanos, SquareMils};
-use serde::{Deserialize, Serialize};
 
 use crate::params::PredictorParams;
 
@@ -27,7 +26,7 @@ use crate::params::PredictorParams;
 /// assert!(pla.area(&p).value() > 0.0);
 /// assert!(pla.delay(&p).value() > p.pla_base_delay - 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlaSpec {
     inputs: u32,
     outputs: u32,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use chop_stat::units::{Cycles, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Error constructing a [`ClockConfig`].
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +45,7 @@ impl std::error::Error for ClockConfigError {}
 /// assert_eq!(exp1.transfer_cycle().value(), 300.0);
 /// # Ok::<(), chop_bad::ClockConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockConfig {
     main: Nanos,
     datapath_multiplier: u32,

@@ -1,9 +1,7 @@
 //! Tunable model parameters of the predictor.
 
-use serde::{Deserialize, Serialize};
-
 /// How BAD sweeps functional-unit counts per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocationSweep {
     /// Every count from 1 up to the class's useful maximum — the paper's
     /// exhaustive serial-parallel exploration.
@@ -51,7 +49,7 @@ impl AllocationSweep {
 /// p.wiring_factor = 0.5; // pessimistic routing
 /// assert!(p.wiring_factor > PredictorParams::default().wiring_factor);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorParams {
     /// Fractional uncertainty below the most-likely area.
     pub area_spread_below: f64,

@@ -8,7 +8,6 @@ use chop_library::{Library, ModuleSet};
 use chop_sched::ResourceMap;
 use chop_stat::units::{Bits, Cycles};
 use chop_stat::Estimate;
-use serde::{Deserialize, Serialize};
 
 use crate::area::PlaSpec;
 use crate::style::DesignStyle;
@@ -18,7 +17,7 @@ use crate::style::DesignStyle;
 /// (paper §3.1 lists exactly these: design style and stages, module
 /// library, adder/multiplier counts, register bits, 1-bit 2-to-1
 /// multiplexers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignDetail {
     /// Schedule length in datapath cycles ("stages").
     pub stages: u64,
@@ -56,7 +55,7 @@ pub struct DesignDetail {
 /// assert!(d.area().likely() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictedDesign {
     style: DesignStyle,
     module_set: ModuleSet,

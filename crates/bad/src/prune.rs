@@ -7,7 +7,6 @@
 
 use chop_stat::units::{Nanos, SquareMils};
 use chop_stat::{Estimate, FeasibilityThreshold};
-use serde::{Deserialize, Serialize};
 
 use crate::clock::ClockConfig;
 use crate::prediction::PredictedDesign;
@@ -29,7 +28,7 @@ use crate::prediction::PredictedDesign;
 /// );
 /// assert_eq!(env.area_budget().value(), 90_000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionEnvelope {
     area_budget: SquareMils,
     performance: Nanos,
@@ -140,7 +139,7 @@ pub fn effective_clock_ns(design: &PredictedDesign, clocks: &ClockConfig) -> Nan
 }
 
 /// Counters reported in the paper's Tables 3 and 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PredictionStats {
     /// Total predictions produced by BAD.
     pub total: usize,

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How operations relate to the datapath clock.
 ///
 /// Experiment 1 of the paper uses single-cycle operations (each operation
 /// completes within one datapath cycle); experiment 2 allows multi-cycle
 /// operations so that a faster clock can be used efficiently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperationTiming {
     /// Every operation completes in exactly one datapath cycle; modules
     /// slower than the cycle are unusable.
@@ -29,7 +27,7 @@ impl fmt::Display for OperationTiming {
 }
 
 /// The design style of one predicted implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignStyle {
     /// Overlapped initiations; the initiation interval may be shorter than
     /// the latency.
@@ -62,7 +60,7 @@ impl fmt::Display for DesignStyle {
 /// let np_only = ArchitectureStyle::new(OperationTiming::MultiCycle, false, true);
 /// assert_eq!(np_only.styles(), vec![DesignStyle::NonPipelined]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchitectureStyle {
     timing: OperationTiming,
     allow_pipelined: bool,

@@ -245,7 +245,7 @@ fn build_session(opts: &Options) -> Result<Session, Box<dyn Error>> {
 
     // Declare every memory block the spec references. Default:
     // off-the-shelf external part; --on-chip-memory overrides.
-    let memories = memory_blocks(&dfg);
+    let memories = memory_blocks(&dfg)?;
     let mut builder =
         PartitioningBuilder::new(dfg, chips).split_horizontal(open.partitions as usize);
     for m in 0..memories {

@@ -40,3 +40,22 @@ fn hostile_chip_and_partition_counts_are_refused_before_allocation() {
         assert!(!stderr.contains("panicked"), "chop check {args:?}: {stderr}");
     }
 }
+
+#[test]
+fn hostile_memory_index_is_refused_before_allocation() {
+    let dir = std::env::temp_dir().join(format!("chop-hostile-mem-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let spec = dir.join("mem.cbs");
+    std::fs::write(&spec, "a = input 16\nr = read M4294967295 a\ny = output r\n")
+        .expect("write spec");
+    let output = Command::new(env!("CARGO_BIN_EXE_chop"))
+        .arg("check")
+        .arg(&spec)
+        .output()
+        .expect("spawn chop");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("memory block M4294967295 is outside M0..M2"), "{stderr}");
+}

@@ -12,14 +12,12 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 /// How many combinations heuristic E is allowed before a default budget
 /// degrades the search to heuristic I.
 pub const DEFAULT_DEGRADE_THRESHOLD: u128 = 1_000_000;
 
 /// How a search run ended.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Completion {
     /// The search examined the whole (heuristic-defined) space.
     #[default]

@@ -58,7 +58,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use chop_bad::prune::PredictionStats;
 use chop_bad::PredictedDesign;
-use serde::{Deserialize, Serialize};
 
 /// Default bound on the number of cached partition entries (total across
 /// all shards).
@@ -83,7 +82,7 @@ pub fn recommended_shards(jobs: usize) -> usize {
 /// (monotonically increasing); `entries` and `bytes` are point-in-time
 /// gauges. A [`SearchOutcome`](crate::SearchOutcome) reports the counter
 /// *delta* of its run via [`CacheStats::since`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,

@@ -16,8 +16,8 @@
 //! polynomial as the journal) covers the payload only. Each payload is a
 //! self-contained cache entry: the content-addressed fingerprint, the
 //! prediction statistics and every pruned [`PredictedDesign`], encoded
-//! field by field (the vendored `serde` stub is a no-op, so the codec is
-//! hand-rolled and private to this file).
+//! field by field (the offline build has no serialization dependency, so
+//! the codec is hand-rolled and private to this file).
 //!
 //! # Recovery rules
 //!

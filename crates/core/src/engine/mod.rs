@@ -10,7 +10,7 @@
 //!    `jobs` scoped worker threads;
 //! 2. **search** ([`crate::heuristics`]) — heuristic E or I generates
 //!    candidate combinations and hands them in canonical-order batches to
-//!    a [`ScoreBatch`](crate::heuristics::ScoreBatch) scorer;
+//!    the [`BatchScorer`];
 //! 3. **integrate** ([`scorer`]) — each batch is evaluated through
 //!    [`IntegrationContext::evaluate`](crate::IntegrationContext::evaluate),
 //!    in parallel when `jobs > 1`, with results merged back in candidate

@@ -12,13 +12,13 @@ use crate::budget::BudgetTimer;
 use crate::engine::panic_message;
 use crate::engine::trace::TraceRecorder;
 use crate::error::ChopError;
-use crate::heuristics::{Candidate, ScoreBatch, ScoreSlot};
+use crate::heuristics::{Candidate, ScoreSlot};
 use crate::integration::IntegrationContext;
 
-/// The engine's [`ScoreBatch`] implementation: evaluates a batch across up
-/// to `jobs` scoped worker threads and returns the slots in candidate
-/// order, so the single-threaded heuristics fold identical results for
-/// every worker count. Each candidate is checked against the wall-clock
+/// The engine's batch evaluator for candidate combinations: evaluates a
+/// batch across up to `jobs` scoped worker threads and returns the slots
+/// in candidate order, so the single-threaded heuristics fold identical
+/// results for every worker count. Each candidate is checked against the wall-clock
 /// deadline right before evaluation; abandoned candidates stay `None` and
 /// the heuristics' canonical fold turns the first `None` into deadline
 /// truncation.
@@ -58,10 +58,12 @@ impl BatchScorer<'_> {
             }
         })
     }
-}
 
-impl ScoreBatch for BatchScorer<'_> {
-    fn score(&self, batch: &[Candidate]) -> Vec<ScoreSlot> {
+    /// Scores every candidate of `batch`, returning exactly one slot per
+    /// candidate, in candidate order. The heuristics stay single-threaded
+    /// and deterministic: they generate candidates in canonical order,
+    /// hand them over in batches, and fold the slots back in that order.
+    pub(crate) fn score(&self, batch: &[Candidate]) -> Vec<ScoreSlot> {
         let mut slots: Vec<ScoreSlot> = Vec::with_capacity(batch.len());
         slots.resize_with(batch.len(), || None);
         let jobs = self.jobs.max(1).min(batch.len());

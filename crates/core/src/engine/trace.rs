@@ -17,11 +17,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-run pipeline counters and stage spans (see the [module docs](self)
 /// for span semantics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExploreTrace {
     /// Wall-clock span of the prediction stage (cache lookups, predictor
     /// calls and level-1 pruning, however many workers ran them).
@@ -61,7 +59,7 @@ pub struct ExploreTrace {
 
 impl ExploreTrace {
     /// Renders the trace as a single JSON object (hand-rolled — the
-    /// vendored serde has no JSON backend).
+    /// offline build has no serialization dependency).
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(

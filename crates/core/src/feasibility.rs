@@ -4,7 +4,6 @@ use std::fmt;
 
 use chop_stat::units::{MilliWatts, Nanos};
 use chop_stat::{FeasibilityThreshold, Probability};
-use serde::{Deserialize, Serialize};
 
 /// The designer's hard constraints: system performance (maximum initiation
 /// interval) and system delay (maximum input-to-output time), both in ns.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let c = Constraints::new(Nanos::new(30_000.0), Nanos::new(30_000.0));
 /// assert_eq!(c.performance().value(), 30_000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraints {
     performance: Nanos,
     delay: Nanos,
@@ -131,7 +130,7 @@ impl fmt::Display for Constraints {
 /// let c = FeasibilityCriteria::paper_defaults();
 /// assert_eq!(c.delay.probability().value(), 0.8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeasibilityCriteria {
     /// Threshold for every chip-area constraint.
     pub area: FeasibilityThreshold,
@@ -176,7 +175,7 @@ impl Default for FeasibilityCriteria {
 }
 
 /// A constraint violation found during feasibility analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// A chip's predicted contents exceed its usable area.
     ChipArea {
@@ -260,7 +259,7 @@ impl fmt::Display for Violation {
 }
 
 /// The outcome of feasibility analysis for one global implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
     /// Whether every constraint met its threshold.
     pub feasible: bool,

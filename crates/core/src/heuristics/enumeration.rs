@@ -24,10 +24,11 @@ use chop_bad::{DesignStyle, PredictedDesign};
 use chop_stat::{Estimate, FeasibilityThreshold};
 
 use crate::budget::{BudgetTimer, Completion};
+use crate::engine::scorer::BatchScorer;
 use crate::engine::trace::TraceRecorder;
 use crate::error::ChopError;
 use crate::heuristics::{
-    finalize, Candidate, DesignPoint, FeasibleImplementation, HeuristicResult, ScoreBatch,
+    finalize, Candidate, DesignPoint, FeasibleImplementation, HeuristicResult,
 };
 use crate::integration::{DelayGraph, IntegrationContext};
 
@@ -128,7 +129,7 @@ pub(crate) fn run(
     keep_all: bool,
     branch_and_bound: bool,
     timer: &BudgetTimer,
-    score: &dyn ScoreBatch,
+    score: &BatchScorer<'_>,
     trace: &TraceRecorder,
 ) -> Result<HeuristicResult, ChopError> {
     if designs.is_empty() || designs.iter().any(|list| list.is_empty()) {
@@ -153,7 +154,7 @@ fn run_exhaustive(
     prune: bool,
     keep_all: bool,
     timer: &BudgetTimer,
-    score: &dyn ScoreBatch,
+    score: &BatchScorer<'_>,
     trace: &TraceRecorder,
 ) -> Result<HeuristicResult, ChopError> {
     let mut result = HeuristicResult::default();
@@ -233,7 +234,7 @@ fn run_branch_and_bound(
     designs: &[Arc<[PredictedDesign]>],
     tables: &RunTables,
     timer: &BudgetTimer,
-    score: &dyn ScoreBatch,
+    score: &BatchScorer<'_>,
     trace: &TraceRecorder,
 ) -> Result<HeuristicResult, ChopError> {
     let mut result = HeuristicResult::default();
@@ -642,7 +643,6 @@ mod tests {
     use chop_stat::units::Nanos;
 
     use super::*;
-    use crate::engine::scorer::BatchScorer;
     use crate::engine::trace::TraceRecorder;
     use crate::feasibility::{Constraints, FeasibilityCriteria};
     use crate::spec::{Partitioning, PartitioningBuilder};

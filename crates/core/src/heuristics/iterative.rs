@@ -13,11 +13,12 @@ use chop_bad::{DesignStyle, PredictedDesign};
 use chop_stat::units::Nanos;
 
 use crate::budget::{BudgetTimer, Completion};
+use crate::engine::scorer::BatchScorer;
 use crate::engine::trace::TraceRecorder;
 use crate::error::ChopError;
 use crate::feasibility::Violation;
 use crate::heuristics::{
-    finalize, Candidate, DesignPoint, FeasibleImplementation, HeuristicResult, ScoreBatch,
+    finalize, Candidate, DesignPoint, FeasibleImplementation, HeuristicResult,
 };
 use crate::integration::IntegrationContext;
 
@@ -47,7 +48,7 @@ pub(crate) fn run(
     base_clock: Nanos,
     keep_all: bool,
     timer: &BudgetTimer,
-    score: &dyn ScoreBatch,
+    score: &BatchScorer<'_>,
     trace: &TraceRecorder,
 ) -> Result<HeuristicResult, ChopError> {
     let mut result = HeuristicResult::default();
@@ -234,7 +235,6 @@ mod tests {
     use chop_library::{ChipSet, Library};
 
     use super::*;
-    use crate::engine::scorer::BatchScorer;
     use crate::feasibility::{Constraints, FeasibilityCriteria};
     use crate::spec::{Partitioning, PartitioningBuilder};
 

@@ -9,8 +9,6 @@
 pub mod enumeration;
 pub mod iterative;
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::Completion;
 use crate::engine::trace::TraceRecorder;
 use crate::error::ChopError;
@@ -19,7 +17,7 @@ use crate::integration::SystemPrediction;
 /// One feasible global implementation: the chosen design per partition
 /// (as an index into the outcome's per-partition prediction lists) and its
 /// integrated system prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeasibleImplementation {
     /// Chosen design index per partition, in partition order, indexing
     /// into [`SearchOutcome::predictions`](crate::SearchOutcome::predictions).
@@ -29,9 +27,10 @@ pub struct FeasibleImplementation {
     pub system: SystemPrediction,
 }
 
-/// One candidate combination handed to a [`ScoreBatch`] scorer: the chosen
-/// design index per partition plus the initiation interval (main-clock
-/// cycles) the combination is evaluated at.
+/// One candidate combination handed to the
+/// [`BatchScorer`](crate::engine::scorer::BatchScorer): the chosen design
+/// index per partition plus the initiation interval (main-clock cycles)
+/// the combination is evaluated at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Candidate {
     /// Chosen design index per partition, in partition order.
@@ -44,21 +43,9 @@ pub(crate) struct Candidate {
 /// the wall-clock deadline passed before it was reached.
 pub(crate) type ScoreSlot = Option<Result<SystemPrediction, ChopError>>;
 
-/// Batch evaluator for candidate combinations.
-///
-/// The heuristics stay single-threaded and deterministic: they generate
-/// candidates in canonical order, hand them over in batches, and fold the
-/// returned slots back in the same order. Implementations (the engine's
-/// parallel scorer) may evaluate a batch's candidates concurrently but
-/// must return exactly one slot per candidate, in candidate order.
-pub(crate) trait ScoreBatch: Sync {
-    /// Scores every candidate of `batch`, preserving order.
-    fn score(&self, batch: &[Candidate]) -> Vec<ScoreSlot>;
-}
-
 /// One explored design point, recorded for the paper's Figures 7/8 when
 /// keep-all mode is on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Total most-likely area over all chips, mil².
     pub area: f64,
@@ -92,7 +79,7 @@ impl DesignPoint {
 }
 
 /// Outcome of one heuristic search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct HeuristicResult {
     /// Feasible, non-inferior global implementations found.
     pub feasible: Vec<FeasibleImplementation>,

@@ -16,7 +16,6 @@ use chop_sched::urgency::{
 };
 use chop_stat::units::{Bits, Cycles, Nanos};
 use chop_stat::Estimate;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ChopError;
 use crate::feasibility::{Constraints, FeasibilityCriteria, Verdict, Violation};
@@ -28,7 +27,7 @@ use crate::transfer::{
 };
 
 /// Predicted characteristics of one data-transfer module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferModulePrediction {
     /// The transfer this module implements.
     pub spec: TransferSpec,
@@ -60,7 +59,7 @@ impl fmt::Display for TransferModulePrediction {
 
 /// The integrated prediction for one combination of partition
 /// implementations at one initiation interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemPrediction {
     /// System initiation interval in main-clock cycles.
     pub initiation_interval: Cycles,

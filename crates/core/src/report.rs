@@ -1,5 +1,5 @@
-//! Designer-facing reports: §3.1-style guidelines, table rendering and the
-//! Fig. 3-style task-graph export.
+//! Designer-facing reports: §3.1-style guidelines, the markdown report and
+//! the Fig. 3-style task-graph export.
 
 use std::fmt::Write as _;
 
@@ -59,46 +59,6 @@ pub fn guideline(
         }
     }
     out
-}
-
-/// Renders a Table 3/5-style statistics block for a search outcome.
-#[must_use]
-pub fn prediction_stats_row(partition_count: usize, outcome: &SearchOutcome) -> String {
-    format!(
-        "{:>15} | {:>27} | {:>30}",
-        partition_count,
-        outcome.total_predictions(),
-        outcome.feasible_predictions()
-    )
-}
-
-/// Renders Table 4/6-style result rows for one search outcome: one line
-/// per non-inferior feasible design, led by the trial statistics.
-#[must_use]
-pub fn results_rows(
-    partition_count: usize,
-    package: usize,
-    outcome: &SearchOutcome,
-) -> Vec<String> {
-    let header = format!(
-        "{:>5} | {:>7} | {} | {:>8.2} | {:>6} | {:>8}",
-        partition_count,
-        package,
-        outcome.heuristic,
-        outcome.elapsed.as_secs_f64(),
-        outcome.trials,
-        outcome.feasible_trials,
-    );
-    let mut rows = vec![header];
-    for f in &outcome.feasible {
-        rows.push(format!(
-            "      |         |   |          |        |          | {:>10} | {:>6} | {:>6.0}",
-            f.system.initiation_interval.value(),
-            f.system.delay.value(),
-            f.system.clock.likely(),
-        ));
-    }
-    rows
 }
 
 /// Renders the partitioning's task graph — processing-unit tasks plus the
@@ -262,6 +222,7 @@ mod tests {
         assert!(text.contains("Partition 1"));
         assert!(text.contains("Partition 2"));
         assert!(text.contains("Data transfer modules"));
+        assert!(environment(&session).contains("constraints"));
     }
 
     #[test]
@@ -274,18 +235,5 @@ mod tests {
         }
         assert!(dot.contains("external"));
         assert_eq!(dot.matches("subgraph cluster_").count(), 3);
-    }
-
-    #[test]
-    fn rows_render() {
-        let session = experiment1_session(&Exp1Config { partitions: 1, package: 1 }).unwrap();
-        let outcome = session.explore(Heuristic::Enumeration).unwrap();
-        let rows = results_rows(1, 2, &outcome);
-        assert!(rows.len() >= 2);
-        assert!(rows[0].contains('E'));
-        let stats = prediction_stats_row(1, &outcome);
-        assert!(stats.contains('|'));
-        let env = environment(&session);
-        assert!(env.contains("constraints"));
     }
 }

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use chop_dfg::grouping::{extract_group, Grouping, GroupingError};
 use chop_dfg::{Dfg, NodeId};
 use chop_library::{ChipId, ChipSet, MemoryId, MemoryModule, MemoryPlacement};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a partition within one [`Partitioning`].
 ///
@@ -17,9 +16,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// assert_eq!(PartitionId::new(0).to_string(), "P1");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartitionId(u32);
 
 impl PartitionId {
@@ -44,7 +41,7 @@ impl fmt::Display for PartitionId {
 }
 
 /// Where a memory block lives relative to the chip set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryAssignment {
     /// Placed on a chip of the set (consumes that chip's project area).
     OnChip(ChipId),
@@ -145,7 +142,7 @@ impl std::error::Error for SpecError {}
 /// Construct through [`PartitioningBuilder`]. The DFG is shared: every
 /// partitioning derived from this one (a node move, a chip swap) and
 /// every session holding one point at the same graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partitioning {
     dfg: Arc<Dfg>,
     grouping: Grouping,

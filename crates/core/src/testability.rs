@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Overheads a scan-based test strategy adds to every chip.
 ///
 /// # Examples
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(t.area_fraction > 0.0);
 /// assert!(t.scan_pins >= 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestabilityOverhead {
     /// Fractional area increase (scan flip-flops, test controller).
     pub area_fraction: f64,

@@ -12,12 +12,11 @@ use std::fmt;
 
 use chop_library::{ChipId, MemoryId};
 use chop_stat::units::Bits;
-use serde::{Deserialize, Serialize};
 
 use crate::spec::{MemoryAssignment, PartitionId, Partitioning};
 
 /// One side of a data transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// A partition's processing unit.
     Partition(PartitionId),
@@ -39,7 +38,7 @@ impl fmt::Display for Endpoint {
 
 /// A data-transfer requirement: `bits` moving from `src` to `dst` once per
 /// initiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferSpec {
     /// Producing endpoint.
     pub src: Endpoint,
@@ -198,7 +197,7 @@ pub fn is_off_chip(partitioning: &Partitioning, t: &TransferSpec) -> bool {
 
 /// Pin budget of one chip: total pins, reservations and shareable data
 /// pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinBudget {
     /// Package pins.
     pub total: u32,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use chop_stat::units::Bits;
-use serde::{Deserialize, Serialize};
 
 use crate::op::{OpHistogram, Operation};
 
@@ -19,7 +18,7 @@ use crate::op::{OpHistogram, Operation};
 /// let a = b.node(Operation::Input, Bits::new(16));
 /// assert_eq!(a.index(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -43,7 +42,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of an edge (a data value) within one [`Dfg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(u32);
 
 impl EdgeId {
@@ -61,7 +60,7 @@ impl fmt::Display for EdgeId {
 }
 
 /// A DFG node: an operation at a given bit width, optionally labeled.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     op: Operation,
     width: Bits,
@@ -89,7 +88,7 @@ impl Node {
 }
 
 /// A DFG edge: a data value produced by `src` and consumed by `dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     src: NodeId,
     dst: NodeId,
@@ -211,7 +210,7 @@ impl std::error::Error for ValidateDfgError {}
 /// assert_eq!(dfg.inputs().count(), 2);
 /// # Ok::<(), chop_dfg::BuildDfgError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dfg {
     nodes: Vec<Node>,
     edges: Vec<Edge>,

@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use chop_stat::units::Bits;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{Dfg, DfgBuilder, NodeId};
 use crate::op::Operation;
@@ -73,7 +72,7 @@ impl std::error::Error for GroupingError {}
 /// assert_eq!(single.group_count(), 1);
 /// assert_eq!(single.members(0).len(), g.len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grouping {
     assignment: Vec<usize>,
     group_count: usize,
@@ -294,7 +293,7 @@ impl GroupingError {
 
 /// Aggregated data crossing from one group to another (or to/from the
 /// outside world).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CutValue {
     /// Producing group.
     pub src_group: usize,

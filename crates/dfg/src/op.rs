@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Reference to a memory block declared in the partitioning environment.
 ///
 /// The DFG itself does not know memory geometry; it only records *which*
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let m = MemoryRef::new(0);
 /// assert_eq!(m.index(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemoryRef(u32);
 
 impl MemoryRef {
@@ -59,7 +55,7 @@ impl fmt::Display for MemoryRef {
 /// assert!(Operation::Input.is_io());
 /// assert!(!Operation::Mul.is_io());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Operation {
     /// Primary input of the specification.
     Input,
@@ -178,7 +174,7 @@ impl fmt::Display for Operation {
 ///
 /// assert_eq!(OpClass::Addition.to_string(), "Addition");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
     /// Adders/subtracters.
     Addition,
@@ -230,7 +226,7 @@ impl fmt::Display for OpClass {
 /// let h = benchmarks::ar_lattice_filter().op_histogram();
 /// assert!(h.count_class(OpClass::Multiplication) > h.count_class(OpClass::Division));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpHistogram {
     counts: BTreeMap<Operation, usize>,
 }

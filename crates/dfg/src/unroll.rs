@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{Dfg, DfgBuilder, NodeId};
 use crate::op::Operation;
 
@@ -83,7 +81,7 @@ impl std::error::Error for UnrollError {}
 /// assert_eq!(unrolled.outputs().count(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopSpec {
     body: Dfg,
     trip_count: u32,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use chop_stat::units::{Mils, Nanos, SquareMils};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a chip within a [`ChipSet`].
 ///
@@ -15,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let c = ChipId::new(2);
 /// assert_eq!(c.to_string(), "chip2");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChipId(u32);
 
 impl ChipId {
@@ -60,7 +57,7 @@ impl fmt::Display for ChipId {
 /// assert_eq!(pkg.pins(), 84);
 /// assert!(pkg.usable_area().value() < pkg.project_area().value());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipPackage {
     name: String,
     width: Mils,
@@ -179,7 +176,7 @@ impl fmt::Display for ChipPackage {
 /// assert_eq!(chips.len(), 3);
 /// assert_eq!(chips.total_pins(), 3 * 84);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChipSet {
     chips: Vec<ChipPackage>,
 }

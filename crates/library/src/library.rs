@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use chop_dfg::OpClass;
-use serde::{Deserialize, Serialize};
 
 use crate::module::{HwModule, ModuleKind};
 
@@ -53,7 +52,7 @@ impl std::error::Error for LibraryError {}
 /// assert_eq!(lib.candidates(OpClass::Addition).len(), 3);
 /// assert!(lib.register().is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Library {
     modules: Vec<HwModule>,
 }
@@ -225,7 +224,7 @@ impl fmt::Display for Library {
 /// let adder = set.module_for(&lib, OpClass::Addition).unwrap();
 /// assert!(adder.name().starts_with("add"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuleSet {
     choices: BTreeMap<OpClass, String>,
 }

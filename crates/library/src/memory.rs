@@ -3,7 +3,6 @@
 use std::fmt;
 
 use chop_stat::units::{Bits, Nanos, SquareMils};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a memory block within a partitioning environment.
 ///
@@ -17,9 +16,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// assert_eq!(MemoryId::new(0).to_string(), "M0");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemoryId(u32);
 
 impl MemoryId {
@@ -53,7 +50,7 @@ impl fmt::Display for MemoryId {
 ///
 /// CHOP explicitly "allows the use of off-the-shelf memory chips" (paper
 /// §2.4); those consume pins for access but no project area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryPlacement {
     /// Synthesized on a chip of the set; consumes project area there.
     OnChip,
@@ -90,7 +87,7 @@ impl fmt::Display for MemoryPlacement {
 /// assert_eq!(ram.ports(), 1);
 /// assert_eq!(ram.data_width().value(), 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryModule {
     name: String,
     words: u64,

@@ -4,7 +4,6 @@ use std::fmt;
 
 use chop_dfg::OpClass;
 use chop_stat::units::{Bits, MilliWatts, Nanos, SquareMils};
-use serde::{Deserialize, Serialize};
 
 /// Default dynamic power density of the 3 µm technology, in mW per mil²
 /// of active area at full utilization. Used when a module carries no
@@ -23,7 +22,7 @@ pub const DEFAULT_POWER_DENSITY: f64 = 0.02;
 /// assert!(k.is_functional());
 /// assert!(!ModuleKind::Register.is_functional());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModuleKind {
     /// Implements one operation class (adder, multiplier, …).
     Functional(OpClass),
@@ -80,7 +79,7 @@ impl fmt::Display for ModuleKind {
 /// assert_eq!(add2.name(), "add2");
 /// assert_eq!(add2.delay().value(), 53.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HwModule {
     name: String,
     kind: ModuleKind,

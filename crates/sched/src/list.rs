@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use chop_dfg::{Dfg, NodeId, OpClass};
-use serde::{Deserialize, Serialize};
 
 use crate::bounds::alap_times;
 use crate::flat::FlatLists;
@@ -22,7 +21,7 @@ use crate::flat::FlatLists;
 /// let specs = NodeSpec::uniform(&g, 2);
 /// assert_eq!(specs.len(), g.len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSpec {
     durations: Vec<u64>,
     resources: Vec<Option<OpClass>>,
@@ -103,7 +102,7 @@ impl NodeSpec {
 /// assert_eq!(alloc.get(OpClass::Addition), 3);
 /// assert_eq!(alloc.get(OpClass::Multiplication), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResourceMap {
     counts: BTreeMap<OpClass, usize>,
 }
@@ -177,7 +176,7 @@ impl std::error::Error for ScheduleError {}
 /// A computed schedule: start/finish cycles per node and the makespan.
 ///
 /// See [`list_schedule`] for construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     start: Vec<u64>,
     finish: Vec<u64>,

@@ -10,12 +10,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::flat::FlatLists;
 
 /// Identifier of a task in a [`TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(u32);
 
 impl TaskId {
@@ -34,7 +32,7 @@ impl fmt::Display for TaskId {
 
 /// Identifier of a capacitated resource (a chip's data-pin pool, a memory
 /// block's port pool, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceId(u32);
 
 impl ResourceId {
@@ -57,7 +55,7 @@ impl fmt::Display for ResourceId {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Task {
     duration: u64,
     demands: Vec<(ResourceId, u64)>,
@@ -104,7 +102,7 @@ impl fmt::Display for UrgencyError {
 impl std::error::Error for UrgencyError {}
 
 /// Priority policy for [`TaskGraph::schedule_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePolicy {
     /// Most urgent first — remaining critical path (the paper's choice).
     Urgency,
@@ -140,7 +138,7 @@ impl fmt::Display for SchedulePolicy {
 /// assert_eq!(s.makespan(), 21);
 /// # Ok::<(), chop_sched::urgency::UrgencyError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     deps: Vec<(TaskId, TaskId)>,
@@ -506,7 +504,7 @@ impl TaskPlan {
 }
 
 /// The result of [`TaskGraph::schedule`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSchedule {
     start: Vec<u64>,
     finish: Vec<u64>,

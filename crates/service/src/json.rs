@@ -1,12 +1,11 @@
 //! A minimal JSON value model, parser and writer for the wire protocol.
 //!
-//! The workspace builds offline against a no-op `serde` stub (its derives
-//! expand to nothing), so the service cannot lean on `serde_json`. This
-//! module implements exactly the JSON subset the newline-delimited
-//! protocol needs: the six value kinds, UTF-8 strings with full escape
-//! handling (including `\uXXXX` and surrogate pairs), and a writer whose
-//! output never contains a raw newline — one encoded message is always
-//! one line.
+//! The workspace builds offline with no serialization dependency, so the
+//! service cannot lean on a JSON crate. This module implements exactly the
+//! JSON subset the newline-delimited protocol needs: the six value kinds,
+//! UTF-8 strings with full escape handling (including `\uXXXX` and
+//! surrogate pairs), and a writer whose output never contains a raw
+//! newline — one encoded message is always one line.
 //!
 //! Numbers are kept as `f64`. Values that are mathematically integral are
 //! written without a fractional part (`3`, not `3.0`); everything else

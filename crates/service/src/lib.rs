@@ -32,7 +32,7 @@
 //!   pairs, promoting the standby when a primary dies.
 //!
 //! The wire format is hand-rolled JSON ([`json`]) because this workspace
-//! builds offline against a no-op `serde` stub.
+//! builds offline with no serialization dependency.
 
 #![deny(missing_docs)]
 // `net::sys` holds the epoll/eventfd FFI (the approved dependency list

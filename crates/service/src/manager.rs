@@ -1359,12 +1359,20 @@ pub fn optimize_spec(
 
 /// The number of memory blocks `dfg` references: one past its highest
 /// block index, so every block up to that one gets declared.
-pub fn memory_blocks(dfg: &chop_dfg::Dfg) -> usize {
-    dfg.nodes()
-        .filter_map(|(_, n)| n.op().memory())
-        .map(|m| m.index() as usize + 1)
-        .max()
-        .unwrap_or(0)
+///
+/// # Errors
+///
+/// [`ErrorKind::Spec`] for a block index at or above the spec's node count,
+/// so a hostile index never reaches the memory declarations.
+pub fn memory_blocks(dfg: &chop_dfg::Dfg) -> Result<usize, ServiceError> {
+    let nodes = dfg.len();
+    match dfg.nodes().filter_map(|(_, n)| n.op().memory()).map(|m| m.index() as usize).max() {
+        Some(m) if m >= nodes => Err(ServiceError::new(
+            ErrorKind::Spec,
+            format!("memory block M{m} is outside M0..M{}", nodes - 1),
+        )),
+        highest => Ok(highest.map_or(0, |m| m + 1)),
+    }
 }
 
 /// The size of the uniform chip set for `params` on a spec of `nodes`
@@ -1417,7 +1425,7 @@ pub fn build_session(params: &OpenParams, jobs: usize) -> Result<Session, Servic
 
     // Declare every memory block the spec references as an off-the-shelf
     // external part (protocol v1 has no on-chip memory placement).
-    let memories = memory_blocks(&dfg);
+    let memories = memory_blocks(&dfg)?;
     let mut builder =
         PartitioningBuilder::new(dfg, chips).split_horizontal(params.partitions as usize);
     for _ in 0..memories {
@@ -1612,6 +1620,12 @@ mod tests {
             let bad = OpenParams { chips: Some(chips), ..open_params(1) };
             assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
         }
+        // So are hostile memory block indices.
+        let bad = OpenParams {
+            spec: "a = input 16\nr = read M4000000000 a\ny = output r\n".into(),
+            ..open_params(1)
+        };
+        assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
         let bad = OpenParams { package_pins: 40, ..open_params(1) };
         assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
         let bad = OpenParams { performance_ns: 0.0, ..open_params(1) };

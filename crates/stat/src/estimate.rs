@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::gaussian::Gaussian;
 use crate::probability::Probability;
 
@@ -59,7 +57,7 @@ impl std::error::Error for EstimateError {}
 /// assert_eq!(sum.lo(), 130.0);
 /// # Ok::<(), chop_stat::EstimateError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     lo: f64,
     likely: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::probability::Probability;
 
 /// Dependency-free error function (Abramowitz & Stegun 7.1.26, |ε| ≤ 1.5e-7).
@@ -62,7 +60,7 @@ pub fn normal_cdf(z: f64) -> f64 {
 /// let m = a.clark_max(&b);
 /// assert!(m.mean() >= 12.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian {
     mean: f64,
     var: f64,

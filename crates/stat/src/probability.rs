@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A probability in `[0, 1]`.
 ///
 /// CHOP's feasibility analysis compares probabilities of constraint
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p >= Probability::new(0.5));
 /// assert_eq!(Probability::certain().value(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Probability(f64);
 
 impl Probability {
@@ -112,7 +110,7 @@ impl fmt::Display for Probability {
 /// assert!(Probability::new(0.85).meets(t));
 /// assert!(!Probability::new(0.75).meets(t));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FeasibilityThreshold(Probability);
 
 impl FeasibilityThreshold {

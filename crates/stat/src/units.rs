@@ -22,12 +22,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -168,9 +166,7 @@ impl Nanos {
 /// let c = Cycles::new(30);
 /// assert_eq!(c.at(Nanos::new(310.0)).value(), 9300.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -246,9 +242,7 @@ impl fmt::Display for Cycles {
 /// let word = Bits::new(16);
 /// assert_eq!((word + word).value(), 32);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bits(u64);
 
 impl Bits {
