@@ -7,7 +7,7 @@ use chop_dfg::{analysis, Dfg, OpClass};
 use chop_library::{HwModule, Library, LibraryError, ModuleSet};
 use chop_sched::lifetime::{max_live_bits_pipelined_where, max_live_bits_where};
 use chop_sched::pipeline::min_initiation_interval;
-use chop_sched::{ListPlan, NodeSpec, ResourceMap, ScheduleError};
+use chop_sched::{ListPlan, ListRun, NodeSpec, ResourceMap, ScheduleError};
 use chop_stat::units::Bits;
 use chop_stat::Estimate;
 
@@ -229,7 +229,9 @@ impl Predictor {
     /// Schedules every allocation × allowed style under one duration
     /// vector (`durations[i]` is the cycle count of `classes[i]`), in
     /// allocation then style order. The list-scheduling plan is compiled
-    /// once here and scheduled once per allocation.
+    /// once here. An allocation that an earlier run covers
+    /// ([`ListRun::covers`]) takes that run's schedule and non-pipelined
+    /// register bits; only its initiation interval is its own.
     fn schedule_points(
         &self,
         dfg: &Dfg,
@@ -259,22 +261,42 @@ impl Predictor {
         };
         let plan = ListPlan::compile(dfg, &specs)?;
         let styles = self.style.styles();
+        let flat = styles.contains(&DesignStyle::NonPipelined);
         let mut points = Vec::with_capacity(allocations.len() * styles.len());
+        // The runs that cover allocations other than their own, each with
+        // its non-pipelined register bits.
+        let mut shared: Vec<(ListRun, Option<Bits>)> = Vec::new();
         for (index, allocation) in allocations.iter().enumerate() {
-            let schedule = plan.schedule(allocation)?;
+            let fresh;
+            let (run, flat_bits) =
+                match shared.iter().rposition(|(run, _)| run.covers(allocation)) {
+                    Some(hit) => &shared[hit],
+                    None => {
+                        let run = plan.run(allocation)?;
+                        let bits = flat.then(|| max_live_bits_where(dfg, run.schedule(), keep));
+                        if run.covers_others() {
+                            shared.push((run, bits));
+                            &shared[shared.len() - 1]
+                        } else {
+                            fresh = (run, bits);
+                            &fresh
+                        }
+                    }
+                };
+            let schedule = run.schedule();
             let stages = schedule.makespan().max(1);
             for &style in &styles {
                 let (ii_dp, register_bits) = match style {
                     DesignStyle::NonPipelined => {
-                        (stages, max_live_bits_where(dfg, &schedule, keep))
+                        (stages, flat_bits.expect("computed when the style is allowed"))
                     }
                     DesignStyle::Pipelined => {
-                        let ii = min_initiation_interval(dfg, &specs, &schedule, allocation);
+                        let ii = min_initiation_interval(dfg, &specs, schedule, allocation);
                         if ii >= stages {
                             // Degenerates to the non-pipelined design.
                             continue;
                         }
-                        (ii, max_live_bits_pipelined_where(dfg, &schedule, ii, keep))
+                        (ii, max_live_bits_pipelined_where(dfg, schedule, ii, keep))
                     }
                 };
                 points.push(ScheduledPoint {

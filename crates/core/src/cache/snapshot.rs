@@ -1,7 +1,7 @@
 //! Versioned, CRC'd binary snapshots of the prediction cache.
 //!
 //! A snapshot lets a restarted (or failed-over) `chop serve` process
-//! warm-start its [`PredictionCache`](super::PredictionCache) instead of
+//! warm-start its [`PredictionCache`] instead of
 //! re-predicting every partition from scratch. The file format mirrors
 //! the discipline of the session journal:
 //!

@@ -4,14 +4,14 @@
 //! then walk combinations one at a time on one thread. This module splits
 //! the flow into explicit stages, each with its own instrumentation:
 //!
-//! 1. **predict** ([`predict`]) — per-partition BAD prediction with
+//! 1. **predict** (`predict`) — per-partition BAD prediction with
 //!    level-1 pruning, memoized in the session's content-addressed
 //!    [`PredictionCache`](crate::cache::PredictionCache) and fanned across
 //!    `jobs` scoped worker threads;
 //! 2. **search** ([`crate::heuristics`]) — heuristic E or I generates
 //!    candidate combinations and hands them in canonical-order batches to
-//!    the [`BatchScorer`];
-//! 3. **integrate** ([`scorer`]) — each batch is evaluated through
+//!    the `BatchScorer`;
+//! 3. **integrate** (`scorer`) — each batch is evaluated through
 //!    [`IntegrationContext::evaluate`](crate::IntegrationContext::evaluate),
 //!    in parallel when `jobs > 1`, with results merged back in candidate
 //!    order;

@@ -1,6 +1,6 @@
 //! Lightweight instrumentation of the exploration pipeline.
 //!
-//! The engine threads a [`TraceRecorder`] (lock-free atomic counters)
+//! The engine threads a `TraceRecorder` (lock-free atomic counters)
 //! through every stage and worker; at the end of a run the recorder is
 //! frozen into the plain-data [`ExploreTrace`] carried by
 //! [`SearchOutcome`](crate::SearchOutcome) and printed by the CLI under

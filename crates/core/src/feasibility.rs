@@ -91,6 +91,8 @@ impl Constraints {
     ///
     /// Returns [`SpecError::InvalidConstraint`] naming the first offending
     /// field.
+    ///
+    /// [`SpecError::InvalidConstraint`]: crate::spec::SpecError::InvalidConstraint
     pub fn validate(&self) -> Result<(), crate::spec::SpecError> {
         use crate::spec::SpecError;
         if !(self.performance.value().is_finite() && self.performance.value() > 0.0) {

@@ -9,7 +9,8 @@
 //! * [`asap_times`]/[`alap_times`] — unconstrained bounds,
 //! * [`list_schedule`] — resource-constrained list scheduling with
 //!   multi-cycle operations (slack-driven priority); [`ListPlan`] compiles
-//!   a graph once for a sweep of allocations,
+//!   a graph once for a sweep of allocations, and each [`ListRun`] names
+//!   the other allocations that repeat its schedule,
 //! * [`pipeline`] — modulo-reservation checks and minimum feasible
 //!   initiation intervals for pipelined design styles,
 //! * [`lifetime`] — value-lifetime analysis and max-live register bits
@@ -44,4 +45,6 @@ pub mod pipeline;
 pub mod urgency;
 
 pub use bounds::{alap_times, asap_times};
-pub use list::{list_schedule, ListPlan, NodeSpec, ResourceMap, Schedule, ScheduleError};
+pub use list::{
+    list_schedule, ListPlan, ListRun, NodeSpec, ResourceMap, Schedule, ScheduleError,
+};

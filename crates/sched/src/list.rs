@@ -292,16 +292,17 @@ pub fn list_schedule(
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListPlan {
+    /// The node at each rank, where ranks number the nodes in (ALAP, id)
+    /// order: every pass over the ready nodes visits them in that order.
+    /// Everything below is indexed by rank.
+    node: Vec<u32>,
     succs: FlatLists<u32>,
     durations: Vec<u64>,
     /// Index into `classes` of each node's functional-unit class.
     class_of: Vec<Option<u32>>,
-    /// The classes the graph uses, in order of their first node.
+    /// The classes the graph uses, in order of their first node by id.
     classes: Vec<OpClass>,
     in_degree: Vec<u32>,
-    /// Each node's position in (ALAP, id) order: every pass over the ready
-    /// nodes visits them in that order.
-    rank: Vec<u32>,
 }
 
 impl ListPlan {
@@ -316,14 +317,19 @@ impl ListPlan {
         if specs.len() != n {
             return Err(ScheduleError::SpecLengthMismatch { expected: n, found: specs.len() });
         }
+        let alap = alap_times(dfg, specs);
+        let mut node: Vec<u32> = (0..n as u32).collect();
+        node.sort_unstable_by_key(|&i| (alap[i as usize], i));
+        let mut rank = vec![0u32; n];
+        for (r, &i) in node.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
         let succs = FlatLists::new(
             n,
-            dfg.edges()
-                .map(|(_, e)| (e.src().index() as u32, e.dst().index() as u32))
-                .collect(),
+            dfg.edges().map(|(_, e)| (rank[e.src().index()], rank[e.dst().index()])).collect(),
         );
         let mut classes = Vec::new();
-        let class_of = dfg
+        let class_by_id: Vec<Option<u32>> = dfg
             .node_ids()
             .map(|id| {
                 let class = specs.resource(id)?;
@@ -334,107 +340,227 @@ impl ListPlan {
                 Some(index as u32)
             })
             .collect();
-        let in_degree = dfg.node_ids().map(|id| dfg.preds(id).len() as u32).collect();
-        let alap = alap_times(dfg, specs);
-        let mut by_alap: Vec<u32> = (0..n as u32).collect();
-        by_alap.sort_unstable_by_key(|&i| (alap[i as usize], i));
-        let mut rank = vec![0u32; n];
-        for (position, &i) in by_alap.iter().enumerate() {
-            rank[i as usize] = position as u32;
-        }
+        let in_degree: Vec<u32> = dfg.node_ids().map(|id| dfg.preds(id).len() as u32).collect();
         Ok(Self {
             succs,
-            durations: specs.durations.clone(),
-            class_of,
+            durations: by_rank(&node, &specs.durations),
+            class_of: by_rank(&node, &class_by_id),
             classes,
-            in_degree,
-            rank,
+            in_degree: by_rank(&node, &in_degree),
+            node,
         })
     }
 
-    /// List-schedules the compiled graph under one allocation.
+    /// List-schedules the compiled graph under one allocation: the
+    /// schedule of [`ListPlan::run`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ListPlan::run`].
+    pub fn schedule(&self, alloc: &ResourceMap) -> Result<Schedule, ScheduleError> {
+        self.run(alloc).map(|run| run.schedule)
+    }
+
+    /// List-schedules the compiled graph under one allocation and reports
+    /// which other allocations yield the same schedule
+    /// ([`ListRun::covers`]).
     ///
     /// Each pass visits the ready nodes in priority order and starts every
-    /// one whose operands are available and whose class has a free unit;
-    /// nodes released during a pass wait for the next pass at the same
-    /// time. A pass that starts nothing advances time to the next unit
-    /// release or operand-ready time, whichever comes first.
+    /// one whose operands are available and whose class has a free unit,
+    /// taking the free unit of lowest index; nodes released during a pass
+    /// wait for the next pass at the same time. A pass that starts nothing
+    /// advances time to the next unit release or operand-ready time,
+    /// whichever comes first. The ready set is a bitset over priority
+    /// ranks, so a pass walks it in priority order without sorting. A pass
+    /// frees no unit, so after one that started something only a released
+    /// node whose operands are already available can start at the same
+    /// time; when there is none, time advances without that fruitless
+    /// pass.
     ///
     /// # Errors
     ///
     /// Returns [`ScheduleError::NoUnitsForClass`] for the first node, in id
     /// order, whose class has no allocated instances.
-    pub fn schedule(&self, alloc: &ResourceMap) -> Result<Schedule, ScheduleError> {
+    pub fn run(&self, alloc: &ResourceMap) -> Result<ListRun, ScheduleError> {
         // Unit `u` of class `c` is `free_at[first_unit[c] + u]`: the cycle
         // its current operation finishes, free once that is not after now.
-        let mut first_unit = Vec::with_capacity(self.classes.len() + 1);
-        first_unit.push(0usize);
-        for &class in &self.classes {
+        let mut first_unit = [0usize; OpClass::ALL.len() + 1];
+        for (c, &class) in self.classes.iter().enumerate() {
             let units = alloc.get(class);
             if units == 0 {
                 return Err(ScheduleError::NoUnitsForClass(class));
             }
-            first_unit.push(first_unit[first_unit.len() - 1] + units);
+            first_unit[c + 1] = first_unit[c] + units;
         }
-        let mut free_at = vec![0u64; first_unit[first_unit.len() - 1]];
+        let mut free_at = vec![0u64; first_unit[self.classes.len()]];
+        // Per class: the units taken so far, until an operation with its
+        // operands available finds every unit busy.
+        let mut needs: Vec<(OpClass, Units)> =
+            self.classes.iter().map(|&class| (class, Units::AtLeast(0))).collect();
 
         let n = self.durations.len();
         let mut pending = self.in_degree.clone();
         // Finish time of a node's latest operand so far; final once the
         // node is ready.
         let mut operands_at = vec![0u64; n];
+        // Start and finish times by node id.
         let mut start = vec![0u64; n];
         let mut finish = vec![0u64; n];
-        let mut ready: Vec<u32> = (0..n as u32).filter(|&i| pending[i as usize] == 0).collect();
-        let mut waiting: Vec<u32> = Vec::new();
+        // Bit `r` of word `r / 64`: the node of rank `r` is ready, or was
+        // released this pass and becomes ready when the pass ends.
+        let mut sets = vec![0u64; 2 * n.div_ceil(64)];
+        let (ready, released) = sets.split_at_mut(n.div_ceil(64));
+        let mark = |set: &mut [u64], r: usize| set[r / 64] |= 1 << (r % 64);
+        for r in (0..n).filter(|&r| pending[r] == 0) {
+            mark(ready, r);
+        }
         let mut time = 0u64;
         let mut done = 0usize;
         while done < n {
-            ready.sort_unstable_by_key(|&i| self.rank[i as usize]);
-            let mut started_any = false;
-            for &i in &ready {
-                let i = i as usize;
-                if operands_at[i] > time {
-                    waiting.push(i as u32);
-                    continue;
-                }
-                let end = time + self.durations[i];
-                if let Some(c) = self.class_of[i] {
-                    let c = c as usize;
-                    let units = &mut free_at[first_unit[c]..first_unit[c + 1]];
-                    let Some(unit) = units.iter_mut().find(|f| **f <= time) else {
-                        waiting.push(i as u32);
+            // A released node can start in the next pass at this time.
+            let mut again = false;
+            // Bit `c`: class `c` had no free unit earlier in this pass.
+            let mut full = 0u64;
+            for (w, word) in ready.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let r = w * 64 + bit;
+                    if operands_at[r] > time {
                         continue;
-                    };
-                    *unit = end;
-                }
-                start[i] = time;
-                finish[i] = end;
-                done += 1;
-                started_any = true;
-                for &s in self.succs.of(i) {
-                    let s = s as usize;
-                    operands_at[s] = operands_at[s].max(end);
-                    pending[s] -= 1;
-                    if pending[s] == 0 {
-                        waiting.push(s as u32);
+                    }
+                    let end = time + self.durations[r];
+                    if let Some(c) = self.class_of[r] {
+                        let c = c as usize;
+                        if full >> c & 1 == 1 {
+                            continue;
+                        }
+                        let units = &mut free_at[first_unit[c]..first_unit[c + 1]];
+                        let Some(unit) = units.iter().position(|&f| f <= time) else {
+                            needs[c].1 = Units::Exactly(units.len());
+                            full |= 1 << c;
+                            continue;
+                        };
+                        units[unit] = end;
+                        if let Units::AtLeast(used) = &mut needs[c].1 {
+                            *used = (*used).max(unit + 1);
+                        }
+                    }
+                    *word &= !(1 << bit);
+                    let id = self.node[r] as usize;
+                    start[id] = time;
+                    finish[id] = end;
+                    done += 1;
+                    for &s in self.succs.of(r) {
+                        let s = s as usize;
+                        operands_at[s] = operands_at[s].max(end);
+                        pending[s] -= 1;
+                        if pending[s] == 0 {
+                            mark(released, s);
+                            again |= operands_at[s] <= time;
+                        }
                     }
                 }
             }
-            std::mem::swap(&mut ready, &mut waiting);
-            waiting.clear();
-            if !started_any {
-                let next_release = free_at.iter().copied().filter(|&f| f > time).min();
-                let next_operands =
-                    ready.iter().map(|&i| operands_at[i as usize]).filter(|&t| t > time).min();
-                time = match (next_release, next_operands) {
-                    (Some(a), Some(b)) => a.min(b),
-                    (Some(a), None) | (None, Some(a)) => a,
-                    (None, None) => time + 1,
-                };
+            for (ready, released) in ready.iter_mut().zip(released.iter_mut()) {
+                *ready |= std::mem::take(released);
+            }
+            if !again {
+                // The next unit release or operand-ready time.
+                let later = |t: u64| if t > time { t } else { u64::MAX };
+                let mut next = free_at.iter().fold(u64::MAX, |next, &f| next.min(later(f)));
+                for (w, &word) in ready.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let r = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        next = next.min(later(operands_at[r]));
+                    }
+                }
+                time = if next == u64::MAX { time + 1 } else { next };
             }
         }
-        Ok(Schedule::from_parts(start, finish))
+        Ok(ListRun { schedule: Schedule::from_parts(start, finish), needs })
+    }
+}
+
+/// Per-node values, indexed by id, reordered by rank.
+fn by_rank<T: Copy>(node: &[u32], by_id: &[T]) -> Vec<T> {
+    node.iter().map(|&i| by_id[i as usize]).collect()
+}
+
+/// A list schedule with the allocations that yield it: the result of
+/// [`ListPlan::run`].
+///
+/// Another allocation yields the identical schedule if it gives every
+/// class where some operation found all units busy (a class that
+/// *waited*) the same count, and every other class at least as many units
+/// as the run took. The run under that allocation makes the same decision
+/// at every step: a class that waited has the same units; a class that
+/// never waited had a free unit whenever one of its operations was
+/// available, and first-fit took unit `k` only when units `0..k` were
+/// busy, so every unit it took exists under the new allocation and no
+/// operation finds them all busy.
+///
+/// # Examples
+///
+/// ```
+/// use chop_dfg::{benchmarks, OpClass};
+/// use chop_sched::{ListPlan, NodeSpec, ResourceMap};
+///
+/// let g = benchmarks::fir_filter(4);
+/// let specs = NodeSpec::uniform(&g, 1);
+/// let plan = ListPlan::compile(&g, &specs)?;
+/// let alloc = |adds, muls| -> ResourceMap {
+///     [(OpClass::Addition, adds), (OpClass::Multiplication, muls)].into_iter().collect()
+/// };
+/// let run = plan.run(&alloc(4, 4))?;
+/// // No operation waits for a unit, and the four multiplies start together.
+/// assert!(run.covers(&alloc(8, 8)));
+/// assert!(!run.covers(&alloc(4, 3)));
+/// assert_eq!(plan.schedule(&alloc(8, 8))?, *run.schedule());
+/// # Ok::<(), chop_sched::ScheduleError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ListRun {
+    schedule: Schedule,
+    /// The units each class the graph uses must have for the schedule to
+    /// repeat, in the plan's class order.
+    needs: Vec<(OpClass, Units)>,
+}
+
+/// Unit counts of one class under which a [`ListRun`] repeats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Units {
+    /// The class waited for a unit: only its own count repeats the run.
+    Exactly(usize),
+    /// The class never waited and took this many units.
+    AtLeast(usize),
+}
+
+impl ListRun {
+    /// The schedule.
+    #[must_use]
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+
+    /// Whether [`ListPlan::schedule`] under `alloc` yields this run's
+    /// schedule, by the rule in the [type docs](ListRun).
+    #[must_use]
+    pub fn covers(&self, alloc: &ResourceMap) -> bool {
+        self.needs.iter().all(|&(class, units)| match units {
+            Units::Exactly(n) => alloc.get(class) == n,
+            Units::AtLeast(n) => alloc.get(class) >= n,
+        })
+    }
+
+    /// Whether some class never waited, so the run covers allocations
+    /// that differ from its own in the classes the graph uses.
+    #[must_use]
+    pub fn covers_others(&self) -> bool {
+        self.needs.iter().any(|(_, units)| matches!(units, Units::AtLeast(_)))
     }
 }
 

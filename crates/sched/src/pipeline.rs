@@ -81,6 +81,9 @@ pub fn supports_ii(
 /// degenerates to non-pipelined operation).
 ///
 /// Returns `max(makespan, 1)` for empty or purely-combinational schedules.
+/// No interval below the resource bound — a class's busy cycles over its
+/// instances, rounded up — fits, so when that bound reaches the makespan
+/// the answer is the makespan and no fold is built.
 ///
 /// # Examples
 ///
@@ -108,21 +111,25 @@ pub fn min_initiation_interval(
     alloc: &ResourceMap,
 ) -> u64 {
     let horizon = schedule.makespan().max(1);
-    let mut fold = ModuloFold::new(dfg, specs, schedule);
-    let units = fold.units(alloc);
-    // Resource lower bound: ceil(total busy cycles per class / instances).
-    let mut busy = vec![0u64; fold.classes.len()];
-    for op in &fold.ops {
-        busy[op.class] += op.duration;
+    let mut busy = [0u64; OpClass::ALL.len()];
+    for id in dfg.node_ids() {
+        if let Some(class) = specs.resource(id) {
+            busy[class as usize] += specs.duration(id);
+        }
     }
-    let lower = busy
+    let lower = OpClass::ALL
         .iter()
-        .zip(&units)
-        .map(|(cycles, &inst)| cycles.div_ceil(inst.max(1) as u64))
+        .filter(|&&class| busy[class as usize] > 0)
+        .map(|&class| busy[class as usize].div_ceil(alloc.get(class).max(1) as u64))
         .max()
         .unwrap_or(1)
         .max(1);
-    (lower..=horizon).find(|&ii| fold.fits(ii, &units)).unwrap_or(horizon)
+    if lower >= horizon {
+        return horizon;
+    }
+    let mut fold = ModuloFold::new(dfg, specs, schedule);
+    let units = fold.units(alloc);
+    (lower..horizon).find(|&ii| fold.fits(ii, &units)).unwrap_or(horizon)
 }
 
 /// A functional-unit operation of non-zero duration, as placed by a
@@ -157,12 +164,20 @@ impl ModuloFold {
                 (specs.duration(id) > 0).then_some((id, class))
             })
         };
-        let mut classes: Vec<OpClass> = busy().map(|(_, class)| class).collect();
+        let mut present = [false; OpClass::ALL.len()];
+        for (_, class) in busy() {
+            present[class as usize] = true;
+        }
+        let mut classes: Vec<OpClass> =
+            OpClass::ALL.into_iter().filter(|&class| present[class as usize]).collect();
         classes.sort_unstable();
-        classes.dedup();
+        let mut position = [0; OpClass::ALL.len()];
+        for (i, &class) in classes.iter().enumerate() {
+            position[class as usize] = i;
+        }
         let ops = busy()
             .map(|(id, class)| BusyOp {
-                class: classes.binary_search(&class).expect("collected above"),
+                class: position[class as usize],
                 start: schedule.start(id),
                 finish: schedule.finish(id),
                 duration: specs.duration(id),

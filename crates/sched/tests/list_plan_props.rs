@@ -3,7 +3,10 @@
 //! of the list-scheduling loop it replaced, the one-sweep register count
 //! and the flat modulo fold must match the per-cycle and per-slot-map
 //! definitions they replaced, and `compile` and `schedule` must report the
-//! errors the old loop reported, in the same order.
+//! errors the old loop reported, in the same order. A run's reuse rule
+//! (`ListRun::covers`) must only ever name allocations whose reference
+//! schedule is the run's own, and the resource bound that lets
+//! `min_initiation_interval` skip the fold must not change its answer.
 
 use std::collections::BTreeMap;
 
@@ -304,6 +307,148 @@ fn times(g: &Dfg, s: &Schedule) -> Vec<(u64, u64)> {
     g.node_ids().map(|id| (s.start(id), s.finish(id))).collect()
 }
 
+/// Every allocation with 1 up to 4 units of each class the graph uses.
+fn nonzero_sweep(g: &Dfg) -> Vec<ResourceMap> {
+    sweep(g).into_iter().map(|a| a.iter().map(|(class, n)| (class, n + 1)).collect()).collect()
+}
+
+/// What a sweep's reuse checks saw: runs that cover other allocations,
+/// runs that cover only their own, and (run, other allocation) pairs the
+/// rule matched.
+#[derive(Debug, Default)]
+struct ReuseCounts {
+    sharing: usize,
+    alone: usize,
+    hits: usize,
+}
+
+/// Runs `plan` under every allocation of `allocs` and checks, for every
+/// run and every allocation of the sweep the run covers, that the
+/// allocation's reference schedule is the run's own.
+fn check_reuse(
+    g: &Dfg,
+    specs: &NodeSpec,
+    plan: &ListPlan,
+    allocs: &[ResourceMap],
+) -> ReuseCounts {
+    let wants: Vec<_> = allocs
+        .iter()
+        .map(|alloc| reference_schedule(g, specs, alloc).expect("every class has units"))
+        .collect();
+    let mut counts = ReuseCounts::default();
+    for (own, want) in allocs.iter().zip(&wants) {
+        let run = plan.run(own).expect("every class has units");
+        assert!(run.covers(own), "a run covers its own allocation: {own}");
+        assert_eq!(&times(g, run.schedule()), want, "{own}");
+        if run.covers_others() {
+            counts.sharing += 1;
+        } else {
+            counts.alone += 1;
+        }
+        for (alloc, want) in allocs.iter().zip(&wants) {
+            if alloc != own && run.covers(alloc) {
+                counts.hits += 1;
+                assert_eq!(
+                    &times(g, run.schedule()),
+                    want,
+                    "run under {own}, reused for {alloc}"
+                );
+            }
+        }
+    }
+    counts
+}
+
+/// The resource bound `min_initiation_interval` checks before folding.
+fn resource_bound(g: &Dfg, specs: &NodeSpec, alloc: &ResourceMap) -> u64 {
+    let mut busy: BTreeMap<OpClass, u64> = BTreeMap::new();
+    for id in g.node_ids() {
+        if let Some(class) = specs.resource(id) {
+            *busy.entry(class).or_insert(0) += specs.duration(id);
+        }
+    }
+    busy.iter()
+        .map(|(class, cycles)| cycles.div_ceil(alloc.get(*class).max(1) as u64))
+        .max()
+        .unwrap_or(1)
+        .max(1)
+}
+
+/// Compares `min_initiation_interval` with the reference for every
+/// schedule of the sweep, under its own allocation and under the sweep's
+/// smallest and largest, and returns how many comparisons had the resource
+/// bound at or past the makespan and how many below it.
+fn check_min_ii(g: &Dfg, specs: &NodeSpec, allocs: &[ResourceMap]) -> (usize, usize) {
+    let (mut bounded, mut searched) = (0, 0);
+    let extremes = [allocs.first(), allocs.last()].map(|a| a.expect("sweep is never empty"));
+    for scheduled_under in allocs {
+        let s = list_schedule(g, specs, scheduled_under).expect("every class has units");
+        for alloc in [scheduled_under].into_iter().chain(extremes) {
+            if resource_bound(g, specs, alloc) >= s.makespan().max(1) {
+                bounded += 1;
+            } else {
+                searched += 1;
+            }
+            assert_eq!(
+                min_initiation_interval(g, specs, &s, alloc),
+                reference_min_ii(g, specs, &s, alloc),
+                "scheduled under {}, folded for {}",
+                scheduled_under,
+                alloc
+            );
+        }
+    }
+    (bounded, searched)
+}
+
+/// The fixed workloads of the coverage tests: multi-cycle durations, so
+/// some classes wait for units and some do not.
+fn fixed_workloads() -> Vec<Workload> {
+    (0..24u64)
+        .map(|seed| Workload {
+            seed,
+            params: RandomDfgParams {
+                layers: 2 + seed as usize % 4,
+                width: 2 + seed as usize % 5,
+                inputs: 3,
+                mul_percent: 40,
+                bits: 16,
+            },
+            compare_mask: 0x1111_1111_1111_1111 << (seed % 4),
+            memory_mask: 0x0101_0101_0101_0101 << (seed % 3),
+            durations: [1 + seed % 2, 2 + seed % 3, 1 + seed % 4],
+        })
+        .collect()
+}
+
+#[test]
+fn reuse_rule_is_exercised_both_ways() {
+    let mut total = ReuseCounts::default();
+    for w in fixed_workloads() {
+        let g = w.graph();
+        let specs = w.specs(&g);
+        let plan = ListPlan::compile(&g, &specs).unwrap();
+        let counts = check_reuse(&g, &specs, &plan, &nonzero_sweep(&g));
+        total.sharing += counts.sharing;
+        total.alone += counts.alone;
+        total.hits += counts.hits;
+    }
+    assert!(total.sharing > 0 && total.alone > 0 && total.hits > 0, "{total:?}");
+}
+
+#[test]
+fn min_ii_bound_is_exercised_both_ways() {
+    let (mut bounded, mut searched) = (0, 0);
+    for w in fixed_workloads() {
+        let g = w.graph();
+        let specs = w.specs(&g);
+        let (b, s) = check_min_ii(&g, &specs, &nonzero_sweep(&g));
+        bounded += b;
+        searched += s;
+    }
+    assert!(bounded > 0 && searched > 0, "bounded {bounded}, searched {searched}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -352,6 +497,21 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_covering_run_is_the_reference_schedule(w in arb_workload()) {
+        let g = w.graph();
+        let specs = w.specs(&g);
+        let plan = ListPlan::compile(&g, &specs).unwrap();
+        check_reuse(&g, &specs, &plan, &nonzero_sweep(&g));
+    }
+
+    #[test]
+    fn min_ii_matches_the_reference_on_both_sides_of_the_bound(w in arb_workload()) {
+        let g = w.graph();
+        let specs = w.specs(&g);
+        check_min_ii(&g, &specs, &nonzero_sweep(&g));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //!
 //! Three layers live here, bottom to top:
 //!
-//! * [`sys`] — raw `epoll`/`eventfd` FFI behind safe RAII wrappers (the
+//! * `sys` — raw `epoll`/`eventfd` FFI behind safe RAII wrappers (the
 //!   only `unsafe` in the crate).
-//! * Framing and timing helpers: [`LineBuffer`] (incremental newline
+//! * Framing and timing helpers: `LineBuffer` (incremental newline
 //!   framing with an `O(n)` resume scan), [`POLL_INTERVAL`],
 //!   [`MAX_LINE_BYTES`], and [`ShutdownGate`] (a Condvar-backed drain
 //!   flag that *wakes* sleepers instead of letting them sleep-step).
-//! * [`reactor`] — the readiness-driven connection engine both
+//! * `reactor` — the readiness-driven connection engine both
 //!   `chop serve` and `chop router` run on; it alone frames requests, so
 //!   the line cap, truncation refusal and drain rules exist once.
 

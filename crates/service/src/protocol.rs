@@ -8,7 +8,7 @@
 //!
 //! Each wire shape is declared once, in three tables after the message
 //! types, and macros generate both the encoder and the decoder from them
-//! (over the [`json`](crate::json) value model):
+//! (over the [`json`] value model):
 //!
 //! - `wire_tags!` maps the unit enums ([`ErrorKind`], `Heuristic`,
 //!   `Completion`, `MoveKind`) to their string tags;
@@ -214,7 +214,7 @@ impl BudgetEnvelope {
 }
 
 /// Parameters of an `explore` request; the budget reuses the core
-/// [`SearchBudget`](chop_core::prelude::SearchBudget) semantics.
+/// [`SearchBudget`] semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreParams {
     /// Which heuristic to run. Default I (iterative).

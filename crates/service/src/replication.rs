@@ -3,7 +3,7 @@
 //! A node with a `chop serve --peer <addr>` attaches a [`Replicator`]: a
 //! background thread that
 //! receives every committed mutation from the
-//! [`SessionManager`](crate::manager::SessionManager)
+//! [`SessionManager`]
 //! (as the exact tagged line the journal persisted, numbered by a
 //! monotonic stream sequence) and ships it to the peer over the
 //! ordinary wire protocol as [`Request::ReplApply`].

@@ -8,7 +8,7 @@
 //! dead node survivable:
 //!
 //! * **Failover** — when the active node stops answering (a forwarded
-//!   request fails, or the health loop misses [`HEALTH_STRIKES`]
+//!   request fails, or the health loop misses `HEALTH_STRIKES`
 //!   consecutive pings), the router promotes the pair's standby with
 //!   [`Request::Promote`] and re-points the pair at it.
 //! * **Re-arm** — failover is no longer terminal: the failed node's
@@ -30,14 +30,14 @@
 //!   from the recorded outcome, not applied twice). An untagged mutation
 //!   gets a typed error instead of a blind, possibly-double apply.
 //!
-//! The front end is the same epoll [`Reactor`] and worker pool `chop
+//! The front end is the same epoll `Reactor` and worker pool `chop
 //! serve` runs on. `shutdown` is answered on the reactor thread; every
 //! other request runs as a pool job while its connection waits, which
 //! keeps replies in request order per connection. That includes
 //! `router_status`: it does no I/O itself, but it reads pair state under
 //! the mutex a failover holds across its `promote` call. The pool is
 //! elastic, so a job never queues behind another, and each pair admits
-//! at most [`PAIR_INFLIGHT`] jobs: past that the router answers a typed
+//! at most `PAIR_INFLIGHT` jobs: past that the router answers a typed
 //! `busy` itself. A pair whose backend stalls therefore ties up only its
 //! own jobs, never another pair's or the admin requests'. Each client
 //! connection keeps its own backend connections, as a thread per client
@@ -438,7 +438,7 @@ impl Router {
     /// itself — it is not forwarded to the backends) or the
     /// [`shutdown_handle`](Router::shutdown_handle) drains it. Runs the
     /// reactor on this thread, an elastic worker pool (at most
-    /// [`PAIR_INFLIGHT`] threads per pair plus [`ADMIN_INFLIGHT`]) and
+    /// `PAIR_INFLIGHT` threads per pair plus `ADMIN_INFLIGHT`) and
     /// the health loop.
     ///
     /// # Errors

@@ -213,7 +213,11 @@ impl Estimate {
         }
     }
 
-    /// Sums an iterator of estimates (independent quantities).
+    /// Sums an iterator of estimates component-wise, as `+` does: the
+    /// result's `lo`, `likely` and `hi` are the sums of the inputs' `lo`,
+    /// `likely` and `hi`. The bounds of the sum are the sums of the bounds
+    /// whatever the dependence between the quantities; no independence is
+    /// assumed.
     #[must_use]
     pub fn sum_of<I: IntoIterator<Item = Estimate>>(iter: I) -> Self {
         iter.into_iter().fold(Self::zero(), |acc, e| acc + e)
