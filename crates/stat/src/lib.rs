@@ -10,13 +10,18 @@
 //!
 //! This crate provides that environment:
 //!
-//! * [`Estimate`] — the (lo, likely, hi) triplet with triangular-distribution
-//!   moments and closed arithmetic (sum, scaling, deterministic max),
-//! * [`Gaussian`] — a moment-matched normal approximation used for
-//!   probability queries and for Clark's max approximation,
-//! * [`erf`]/[`normal_cdf`] — a dependency-free error function,
+//! * [`Estimate`] — the (lo, likely, hi) triplet, read as a triangular
+//!   distribution, with component-wise arithmetic (sum, scaling, max) and
+//!   the triangular CDF [`Estimate::probability_le`] every feasibility
+//!   verdict reads,
 //! * [`Probability`] and [`FeasibilityThreshold`] — newtypes that keep
 //!   confidence levels from being confused with other `f64` quantities.
+//!
+//! There is one probability model, stated on [`Estimate`]: sums add
+//! bounds and modes, so their bounds are sound under any dependence and
+//! their CDF is exact for comonotone terms of one shape. The crate's
+//! `tests/sampling.rs` checks the CDF and both readings of a sum against
+//! Monte Carlo sampling.
 //!
 //! # Examples
 //!
@@ -36,10 +41,8 @@
 #![forbid(unsafe_code)]
 
 mod estimate;
-mod gaussian;
 mod probability;
 pub mod units;
 
 pub use estimate::{Estimate, EstimateError};
-pub use gaussian::{erf, normal_cdf, Gaussian};
 pub use probability::{FeasibilityThreshold, Probability};

@@ -52,12 +52,6 @@ impl Probability {
         self.0
     }
 
-    /// Probability that *both* of two independent events hold.
-    #[must_use]
-    pub fn and(&self, other: Probability) -> Probability {
-        Probability::new(self.0 * other.0)
-    }
-
     /// Whether this probability meets a feasibility threshold.
     ///
     /// Thresholds of exactly 1.0 are treated with a small epsilon so that a
@@ -163,12 +157,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_panics() {
         let _ = Probability::new(f64::NAN);
-    }
-
-    #[test]
-    fn and_multiplies() {
-        let p = Probability::new(0.5).and(Probability::new(0.5));
-        assert_eq!(p.value(), 0.25);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the statistical environment.
 
-use chop_stat::{erf, normal_cdf, Estimate, FeasibilityThreshold, Gaussian, Probability};
+use chop_stat::{Estimate, FeasibilityThreshold, Probability};
 use proptest::prelude::*;
 
 fn arb_estimate() -> impl Strategy<Value = Estimate> {
@@ -16,21 +16,12 @@ proptest! {
     }
 
     #[test]
-    fn estimate_mean_within_bounds(e in arb_estimate()) {
-        prop_assert!(e.mean() >= e.lo() - 1e-9);
-        prop_assert!(e.mean() <= e.hi() + 1e-9);
-    }
-
-    #[test]
-    fn estimate_variance_non_negative(e in arb_estimate()) {
-        prop_assert!(e.variance() >= -1e-9);
-    }
-
-    #[test]
     fn sum_preserves_ordering(a in arb_estimate(), b in arb_estimate()) {
         let s = a + b;
         prop_assert!(s.lo() <= s.likely() && s.likely() <= s.hi());
-        prop_assert!((s.mean() - (a.mean() + b.mean())).abs() < 1e-6);
+        prop_assert_eq!(s.lo(), a.lo() + b.lo());
+        prop_assert_eq!(s.likely(), a.likely() + b.likely());
+        prop_assert_eq!(s.hi(), a.hi() + b.hi());
     }
 
     #[test]
@@ -48,45 +39,6 @@ proptest! {
     }
 
     #[test]
-    fn erf_bounded_and_odd(x in -6.0f64..6.0) {
-        let v = erf(x);
-        prop_assert!((-1.0..=1.0).contains(&v));
-        prop_assert!((v + erf(-x)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normal_cdf_bounded(z in -20.0f64..20.0) {
-        let p = normal_cdf(z);
-        prop_assert!((0.0..=1.0).contains(&p));
-    }
-
-    #[test]
-    fn clark_max_mean_at_least_individual_means(
-        m1 in -1e3f64..1e3, v1 in 0.0f64..1e4,
-        m2 in -1e3f64..1e3, v2 in 0.0f64..1e4,
-    ) {
-        let a = Gaussian::new(m1, v1);
-        let b = Gaussian::new(m2, v2);
-        let m = a.clark_max(&b);
-        // Clark max mean dominates both input means (up to float noise).
-        prop_assert!(m.mean() >= m1.max(m2) - 1e-6);
-        prop_assert!(m.variance() >= -1e-9);
-    }
-
-    #[test]
-    fn clark_max_commutative(
-        m1 in -1e3f64..1e3, v1 in 0.0f64..1e4,
-        m2 in -1e3f64..1e3, v2 in 0.0f64..1e4,
-    ) {
-        let a = Gaussian::new(m1, v1);
-        let b = Gaussian::new(m2, v2);
-        let ab = a.clark_max(&b);
-        let ba = b.clark_max(&a);
-        prop_assert!((ab.mean() - ba.mean()).abs() < 1e-6);
-        prop_assert!((ab.variance() - ba.variance()).abs() < 1e-4);
-    }
-
-    #[test]
     fn probability_meets_is_monotone(p in 0.0f64..1.0, t in 0.0f64..1.0) {
         let prob = Probability::new(p);
         let thr = FeasibilityThreshold::new(t);
@@ -94,13 +46,5 @@ proptest! {
             // Any weaker threshold is also met.
             prop_assert!(prob.meets(FeasibilityThreshold::new(t * 0.5)));
         }
-    }
-
-    #[test]
-    fn and_never_increases(p in 0.0f64..1.0, q in 0.0f64..1.0) {
-        let a = Probability::new(p);
-        let b = Probability::new(q);
-        prop_assert!(a.and(b) <= a);
-        prop_assert!(a.and(b) <= b);
     }
 }
