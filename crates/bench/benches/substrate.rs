@@ -4,7 +4,7 @@
 
 use chop_dfg::benchmarks::{self, random_layered, RandomDfgParams};
 use chop_dfg::OpClass;
-use chop_sched::urgency::{ResourceId, SchedulePolicy, TaskGraph};
+use chop_sched::urgency::{ResourceId, SchedulePolicy, TaskGraph, TaskScratch};
 use chop_sched::{list_schedule, ListPlan, NodeSpec, ResourceMap};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -85,6 +85,18 @@ fn bench_urgency(c: &mut Criterion) {
         b.iter(|| {
             next = (next + 1) % vectors.len();
             black_box(plan.schedule(SchedulePolicy::Urgency, &vectors[next]))
+        });
+    });
+    // The same, into buffers kept across calls, as integration's scoring
+    // workers schedule.
+    let mut scratch = TaskScratch::default();
+    group.bench_function("fan32_pins64_plan_scratch", |b| {
+        b.iter(|| {
+            next = (next + 1) % vectors.len();
+            black_box(
+                plan.schedule_into(SchedulePolicy::Urgency, &vectors[next], &mut scratch)
+                    .makespan(),
+            )
         });
     });
     group.finish();

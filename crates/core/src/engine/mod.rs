@@ -7,14 +7,17 @@
 //! 1. **predict** (`predict`) — per-partition BAD prediction with
 //!    level-1 pruning, memoized in the session's content-addressed
 //!    [`PredictionCache`](crate::cache::PredictionCache) and fanned across
-//!    `jobs` scoped worker threads;
+//!    `jobs` scoped worker threads. A partition's key hashes its extracted
+//!    DFG, and the [`Partitioning`](crate::Partitioning) memoises that
+//!    hash, so a warm exploration of partitions already keyed neither
+//!    extracts nor hashes them;
 //! 2. **search** ([`crate::heuristics`]) — heuristic E or I generates
 //!    candidate combinations and hands them in canonical-order batches to
 //!    the `BatchScorer`;
 //! 3. **integrate** (`scorer`) — each batch is evaluated through
 //!    [`IntegrationContext::evaluate`](crate::IntegrationContext::evaluate),
 //!    in parallel when `jobs > 1`, with results merged back in candidate
-//!    order;
+//!    order; each worker keeps its scheduling buffers for the whole run;
 //! 4. **feasibility** — feasible combinations are filtered down to the
 //!    non-inferior front.
 //!
@@ -48,26 +51,15 @@ use self::scorer::BatchScorer;
 use self::trace::TraceRecorder;
 
 /// Runs the full staged pipeline for one session (see the module docs).
-///
-/// `known[p]` is partition `p`'s structural hash when the caller knows it
-/// (partitions past `known.len()` are unknown): a known hash keys the
-/// cache lookup without extracting the partition's DFG, which is then
-/// extracted only to predict on a miss. Returns the outcome and, per
-/// partition, the hash its cache key used (`None` when the cache was
-/// bypassed or the stage stopped before it), so a caller can carry the
-/// hashes of partitions it leaves untouched into the next exploration.
-/// Keys, lookups and results are the same as with nothing carried.
 pub(crate) fn explore(
     session: &Session,
     requested: Heuristic,
-    known: &[Option<u64>],
-) -> Result<(SearchOutcome, Vec<Option<u64>>), ChopError> {
+) -> Result<SearchOutcome, ChopError> {
     let timer = BudgetTimer::start(session.budget);
     let trace = TraceRecorder::new(session.jobs);
     let cache_before = session.cache.stats();
 
-    let predicted = predict::predict_stage(session, known, &timer, &trace)?;
-    let hashes = predicted.hashes;
+    let predicted = predict::predict_stage(session, &timer, &trace)?;
     if let Some(status) = predicted.truncated {
         let outcome = SearchOutcome {
             heuristic: requested,
@@ -83,7 +75,7 @@ pub(crate) fn explore(
             trace: trace.snapshot(),
             cache: session.cache.stats().since(&cache_before),
         };
-        return Ok((outcome, hashes));
+        return Ok(outcome);
     }
 
     let ctx = IntegrationContext::new(
@@ -106,13 +98,7 @@ pub(crate) fn explore(
         }
     }
 
-    let scorer = BatchScorer {
-        ctx: &ctx,
-        lists: &predicted.lists,
-        jobs: session.jobs,
-        timer: &timer,
-        trace: &trace,
-    };
+    let scorer = BatchScorer::new(&ctx, &predicted.lists, session.jobs, &timer, &trace);
     let search_started = Instant::now();
     let result: HeuristicResult = match effective {
         Heuristic::Enumeration => heuristics::enumeration::run(
@@ -158,7 +144,7 @@ pub(crate) fn explore(
         trace: trace.snapshot(),
         cache: session.cache.stats().since(&cache_before),
     };
-    Ok((outcome, hashes))
+    Ok(outcome)
 }
 
 /// Heuristic E's search-space size: the product of surviving per-partition

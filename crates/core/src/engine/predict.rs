@@ -1,14 +1,14 @@
 //! Stage 1: cached, parallel per-partition prediction with level-1 pruning.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Instant;
 
 use chop_bad::prune::{prune, PredictionStats};
 use chop_bad::{AllocationSweep, DesignStyle, OperationTiming};
 use chop_bad::{PartitionEnvelope, PredictError, PredictedDesign, Predictor, Sweep};
-use chop_dfg::hash::{structural_hash, StableHasher};
+use chop_dfg::hash::StableHasher;
 
 use crate::budget::{BudgetTimer, Completion};
 use crate::engine::panic_message;
@@ -24,9 +24,6 @@ pub(crate) struct PredictOutput {
     pub lists: Vec<Arc<[PredictedDesign]>>,
     /// Table 3/5 statistics per partition.
     pub stats: Vec<PredictionStats>,
-    /// Per partition (always one entry each), the structural hash its
-    /// cache key used, or `None` if no key was made for it.
-    pub hashes: Vec<Option<u64>>,
     /// `Some` when the deadline tripped mid-sweep; `lists`/`stats` then
     /// hold the completed prefix, exactly as a serial sweep would.
     pub truncated: Option<Completion>,
@@ -41,40 +38,32 @@ enum Predicted {
     Designs(Vec<PredictedDesign>),
 }
 
-/// One partition's surviving designs, statistics and cache-key hash.
-type Prediction = (Arc<[PredictedDesign]>, PredictionStats, Option<u64>);
+/// One partition's surviving designs and statistics.
+type Prediction = (Arc<[PredictedDesign]>, PredictionStats);
 type Slot = Option<Result<Prediction, ChopError>>;
 
-/// Runs (and wall-clock-times) the prediction stage. `known` carries
-/// partition structural hashes in, as [`explore`] describes.
-///
-/// [`explore`]: crate::engine::explore
+/// Runs (and wall-clock-times) the prediction stage.
 pub(crate) fn predict_stage(
     session: &Session,
-    known: &[Option<u64>],
     timer: &BudgetTimer,
     trace: &TraceRecorder,
 ) -> Result<PredictOutput, ChopError> {
     let started = Instant::now();
-    let output = run_stage(session, known, timer, trace);
+    let output = run_stage(session, timer, trace);
     trace.add_predict(started.elapsed());
     output
 }
 
 fn run_stage(
     session: &Session,
-    known: &[Option<u64>],
     timer: &BudgetTimer,
     trace: &TraceRecorder,
 ) -> Result<PredictOutput, ChopError> {
-    let predictor =
-        Predictor::new(session.library.clone(), session.clocks, session.style, session.params);
+    // Built on the first cache miss, so a warm stage never clones the
+    // library.
+    let predictor = OnceLock::new();
     let fingerprint = config_fingerprint(session);
-    let ids: Vec<(PartitionId, Option<u64>)> = session
-        .partitioning
-        .partition_ids()
-        .map(|p| (p, known.get(p.index()).copied().flatten()))
-        .collect();
+    let ids: Vec<PartitionId> = session.partitioning.partition_ids().collect();
     let mut slots: Vec<Slot> = Vec::with_capacity(ids.len());
     slots.resize_with(ids.len(), || None);
     let jobs = session.jobs.max(1).min(ids.len().max(1));
@@ -103,14 +92,12 @@ fn run_stage(
     // in partition order is the run's error, identical to a serial sweep.
     let mut lists = Vec::with_capacity(ids.len());
     let mut stats = Vec::with_capacity(ids.len());
-    let mut hashes = Vec::with_capacity(ids.len());
     let mut truncated = None;
     for slot in slots {
         match slot {
-            Some(Ok((list, stat, hash))) => {
+            Some(Ok((list, stat))) => {
                 lists.push(list);
                 stats.push(stat);
-                hashes.push(hash);
             }
             Some(Err(e)) => return Err(e),
             None => {
@@ -119,27 +106,26 @@ fn run_stage(
             }
         }
     }
-    hashes.resize(ids.len(), None);
-    Ok(PredictOutput { lists, stats, hashes, truncated })
+    Ok(PredictOutput { lists, stats, truncated })
 }
 
-/// Fills `slots` for `ids` (each with its carried hash, if known) in
-/// order, stopping at the deadline or at the first error (later slots
-/// stay `None`; after an error the canonical merge never reaches them).
+/// Fills `slots` for `ids` in order, stopping at the deadline or at the
+/// first error (later slots stay `None`; after an error the canonical
+/// merge never reaches them).
 fn predict_run(
     session: &Session,
-    predictor: &Predictor,
+    predictor: &OnceLock<Predictor>,
     fingerprint: u64,
     timer: &BudgetTimer,
     trace: &TraceRecorder,
     slots: &mut [Slot],
-    ids: &[(PartitionId, Option<u64>)],
+    ids: &[PartitionId],
 ) {
-    for (slot, &(p, known)) in slots.iter_mut().zip(ids) {
+    for (slot, &p) in slots.iter_mut().zip(ids) {
         if timer.deadline_exceeded() {
             return;
         }
-        let outcome = predict_one(session, predictor, fingerprint, p, known, trace);
+        let outcome = predict_one(session, predictor, fingerprint, p, trace);
         let failed = outcome.is_err();
         *slot = Some(outcome);
         if failed {
@@ -149,16 +135,15 @@ fn predict_run(
 }
 
 /// Predicts one partition: cache lookup first, then BAD (panic-isolated)
-/// plus level-1 pruning, seeding the cache on the way out. A `known`
-/// structural hash keys the lookup without extracting the partition's
-/// DFG; the DFG is extracted only when the hash is unknown or the cache
-/// misses.
+/// plus level-1 pruning, seeding the cache on the way out. The key's
+/// structural hash comes from the partitioning's memo; the partition's
+/// DFG is extracted at most once, to hash it the first time or to
+/// predict on a miss.
 fn predict_one(
     session: &Session,
-    predictor: &Predictor,
+    predictor: &OnceLock<Predictor>,
     fingerprint: u64,
     p: PartitionId,
-    known: Option<u64>,
     trace: &TraceRecorder,
 ) -> Result<Prediction, ChopError> {
     let chip = session.partitioning.chips().chip(session.partitioning.chip_of(p));
@@ -171,33 +156,24 @@ fn predict_one(
     #[cfg(not(feature = "fault-inject"))]
     let cacheable = session.cache.is_enabled();
     let mut sub = None;
-    let hash = match known {
-        _ if !cacheable => None,
-        Some(hash) => {
-            debug_assert_eq!(
-                hash,
-                structural_hash(&session.partitioning.partition_dfg(p)),
-                "carried structural hash of partition {p} is stale"
-            );
-            Some(hash)
-        }
-        None => Some(structural_hash(sub.insert(session.partitioning.partition_dfg(p)))),
-    };
-    let key = hash.map(|hash| {
+    let key = cacheable.then(|| {
         let mut h = StableHasher::new();
         h.write_u64(fingerprint);
-        h.write_u64(hash);
+        h.write_u64(session.partitioning.partition_hash(p, &mut sub));
         h.write_f64(chip.usable_area().value());
         h.finish()
     });
     if let Some(key) = key {
-        if let Some((designs, stats)) = session.cache.get(key) {
+        if let Some(hit) = session.cache.get(key) {
             trace.count_cache_hit();
-            return Ok((designs, stats, hash));
+            return Ok(hit);
         }
         trace.count_cache_miss();
     }
     let sub = sub.unwrap_or_else(|| session.partitioning.partition_dfg(p));
+    let predictor = predictor.get_or_init(|| {
+        Predictor::new(session.library.clone(), session.clocks, session.style, session.params)
+    });
     trace.count_predictor_call();
     // A panic anywhere in BAD poisons only this partition: it is caught
     // here and reported as a typed Predict error.
@@ -262,7 +238,7 @@ fn predict_one(
     if let Some(key) = key {
         session.cache.insert(key, Arc::clone(&list), stat);
     }
-    Ok((list, stat, hash))
+    Ok((list, stat))
 }
 
 /// Hashes everything — besides the partition's own DFG and chip — that the

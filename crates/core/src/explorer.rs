@@ -543,8 +543,7 @@ impl Session {
     /// for the offending partition only.
     pub fn predict_partitions(&self) -> Result<PartitionPredictions, ChopError> {
         let trace = TraceRecorder::new(self.jobs);
-        let output =
-            engine::predict::predict_stage(self, &[], &BudgetTimer::unlimited(), &trace)?;
+        let output = engine::predict::predict_stage(self, &BudgetTimer::unlimited(), &trace)?;
         Ok((output.lists, output.stats))
     }
 
@@ -570,7 +569,7 @@ impl Session {
     /// failures; an infeasible partitioning is a normal outcome with an
     /// empty `feasible` list.
     pub fn explore(&self, heuristic: Heuristic) -> Result<SearchOutcome, ChopError> {
-        engine::explore(self, heuristic, &[]).map(|(outcome, _)| outcome)
+        engine::explore(self, heuristic)
     }
 }
 
@@ -687,6 +686,46 @@ mod tests {
         assert_eq!(second.trace.predictor_calls, 0);
         assert_eq!(second.trace.cache_hits, 2);
         assert_eq!(first.digest(), second.digest());
+    }
+
+    #[test]
+    fn partition_hashes_are_memoised_on_the_partitioning() {
+        use chop_dfg::hash::structural_hash;
+        use chop_library::ChipId;
+
+        let s = session(3);
+        assert_eq!(s.partitioning().memoised_hashes(), [None; 3]);
+        // The service explores a clone of the session it keeps: the memo
+        // the clone fills is the original's.
+        s.clone().with_jobs(2).explore(Heuristic::Iterative).unwrap();
+        let hashes = s.partitioning().memoised_hashes();
+        for (p, hash) in s.partitioning().partition_ids().zip(&hashes) {
+            assert_eq!(*hash, Some(structural_hash(&s.partitioning().partition_dfg(p))));
+        }
+        // A node move forgets exactly the two partitions it touches.
+        let moved = s
+            .partitioning()
+            .grouping()
+            .members(0)
+            .into_iter()
+            .find_map(|node| s.repartition(node, PartitionId::new(1)).ok())
+            .expect("some node of P1 is movable");
+        assert_eq!(moved.partitioning().memoised_hashes(), [None, None, hashes[2]]);
+        // Moving a node to its own partition touches nothing.
+        let node = s.partitioning().grouping().members(2)[0];
+        let stay = s.repartition(node, PartitionId::new(2)).unwrap();
+        assert_eq!(stay.partitioning().memoised_hashes(), hashes);
+        // Chip and constraint what-ifs keep every hash.
+        let on_chip =
+            s.partitioning().with_partition_on_chip(PartitionId::new(0), ChipId::new(1));
+        assert_eq!(on_chip.unwrap().memoised_hashes(), hashes);
+        let tight = s
+            .clone()
+            .try_with_constraints(Constraints::new(Nanos::new(3_000.0), Nanos::new(3_000.0)));
+        assert_eq!(tight.unwrap().partitioning().memoised_hashes(), hashes);
+        // Equality ignores the memo.
+        assert_eq!(*moved.partitioning(), moved.partitioning().clone());
+        assert_eq!(s.partitioning(), session(3).partitioning());
     }
 
     #[test]

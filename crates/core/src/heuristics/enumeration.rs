@@ -699,7 +699,7 @@ mod tests {
     ) -> HeuristicResult {
         let timer = BudgetTimer::unlimited();
         let trace = TraceRecorder::new(1);
-        let scorer = BatchScorer { ctx, lists: designs, jobs: 1, timer: &timer, trace: &trace };
+        let scorer = BatchScorer::new(ctx, designs, 1, &timer, &trace);
         run(ctx, designs, prune, keep_all, bnb, &timer, &scorer, &trace).unwrap()
     }
 

@@ -288,7 +288,7 @@ mod tests {
     ) -> HeuristicResult {
         let timer = BudgetTimer::unlimited();
         let trace = TraceRecorder::new(1);
-        let scorer = BatchScorer { ctx, lists: designs, jobs: 1, timer: &timer, trace: &trace };
+        let scorer = BatchScorer::new(ctx, designs, 1, &timer, &trace);
         run(ctx, designs, Nanos::new(300.0), keep_all, &timer, &scorer, &trace).unwrap()
     }
 
@@ -308,8 +308,7 @@ mod tests {
         let it = run_serial(&ctx, &designs, false);
         let timer = BudgetTimer::unlimited();
         let trace = TraceRecorder::new(1);
-        let scorer =
-            BatchScorer { ctx: &ctx, lists: &designs, jobs: 1, timer: &timer, trace: &trace };
+        let scorer = BatchScorer::new(&ctx, &designs, 1, &timer, &trace);
         let en = crate::heuristics::enumeration::run(
             &ctx, &designs, true, false, false, &timer, &scorer, &trace,
         )

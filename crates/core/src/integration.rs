@@ -12,7 +12,7 @@ use chop_bad::area::PlaSpec;
 use chop_bad::{ClockConfig, DesignStyle, PredictedDesign, PredictorParams};
 use chop_library::Library;
 use chop_sched::urgency::{
-    ResourceId, SchedulePolicy, TaskGraph, TaskId, TaskPlan, UrgencyError,
+    ResourceId, SchedulePolicy, TaskGraph, TaskId, TaskPlan, TaskScratch, UrgencyError,
 };
 use chop_stat::units::{Bits, Cycles, Nanos};
 use chop_stat::Estimate;
@@ -186,6 +186,16 @@ impl DelayGraph {
         plan.urgencies_in_place(dist);
         dist.iter().copied().max().unwrap_or(0)
     }
+}
+
+/// Working buffers one evaluation reuses from the last: the task
+/// durations and the urgency scheduler's state. The engine keeps one per
+/// scoring worker for a whole run, so scoring allocates nothing for the
+/// schedule.
+#[derive(Debug, Default)]
+pub(crate) struct EvalScratch {
+    durations: Vec<u64>,
+    tasks: TaskScratch,
 }
 
 /// How one transfer runs under the final pin budgets.
@@ -572,12 +582,13 @@ impl<'a> IntegrationContext<'a> {
         selection: &[&PredictedDesign],
         ii: Cycles,
     ) -> Result<SystemPrediction, ChopError> {
-        self.evaluate_impl(&selection, ii)
+        self.evaluate_impl(&selection, ii, &mut EvalScratch::default())
     }
 
-    /// Allocation-free variant of [`IntegrationContext::evaluate`] for the
-    /// engine's scoring hot path: the selection is one index per partition
-    /// into the shared per-partition prediction lists.
+    /// [`IntegrationContext::evaluate`] for the engine's scoring hot path:
+    /// the selection is one index per partition into the shared
+    /// per-partition prediction lists, and the schedule is built in
+    /// `scratch`.
     ///
     /// # Errors
     ///
@@ -587,14 +598,16 @@ impl<'a> IntegrationContext<'a> {
         lists: &[Arc<[PredictedDesign]>],
         indices: &[u32],
         ii: Cycles,
+        scratch: &mut EvalScratch,
     ) -> Result<SystemPrediction, ChopError> {
-        self.evaluate_impl(&IndexedSelection { lists, indices }, ii)
+        self.evaluate_impl(&IndexedSelection { lists, indices }, ii, scratch)
     }
 
     fn evaluate_impl<S: SelectionView>(
         &self,
         selection: &S,
         ii: Cycles,
+        scratch: &mut EvalScratch,
     ) -> Result<SystemPrediction, ChopError> {
         assert_eq!(
             selection.len(),
@@ -672,11 +685,13 @@ impl<'a> IntegrationContext<'a> {
         // Urgency-schedule the PU and transfer tasks with the selected
         // partition latencies.
         let tasks = plan.tasks.as_ref().map_err(|e| ChopError::Integration(e.clone()))?;
-        let mut durations = plan.durations.clone();
+        let durations = &mut scratch.durations;
+        durations.clone_from(&plan.durations);
         for (p, d) in durations[..k].iter_mut().enumerate() {
             *d = selection.design(p).latency().value();
         }
-        let schedule = tasks.schedule(SchedulePolicy::Urgency, &durations);
+        let schedule =
+            tasks.schedule_into(SchedulePolicy::Urgency, durations, &mut scratch.tasks);
         let delay_cycles = Cycles::new(schedule.makespan());
 
         // Adjusted clock: main period + per-chip integration overhead
@@ -704,7 +719,7 @@ impl<'a> IntegrationContext<'a> {
         let mut transfer_modules = Vec::with_capacity(self.transfers.len());
         for (t, timing) in self.transfers.iter().zip(&plan.transfers) {
             let (x, w) = (timing.duration, timing.pins);
-            let wait = Cycles::new(tasks.wait_before(&schedule, timing.task));
+            let wait = Cycles::new(tasks.wait_before(schedule, timing.task));
             let b_bits = if w == 0 {
                 0
             } else {

@@ -9,10 +9,11 @@
 //! candidate through the ordinary cache-backed engine. Because a move
 //! changes exactly two partitions, a warm evaluation re-predicts only
 //! those two and serves the rest from the shared
-//! [`PredictionCache`](crate::cache::PredictionCache). The structural
-//! hashes that key the other partitions' entries are carried over from
-//! the current state, so an evaluation extracts and hashes only the two
-//! moved partitions' DFGs (and any partition whose entry was evicted).
+//! [`PredictionCache`](crate::cache::PredictionCache). The moved
+//! partitioning keeps the other partitions' memoised structural hashes
+//! (see [`Partitioning::with_nodes_moved`]), so an evaluation extracts
+//! and hashes only the two moved partitions' DFGs (and re-extracts any
+//! partition whose entry was evicted, to predict it).
 //!
 //! The bookkeeping between evaluations follows FM: per unit and
 //! partition the search keeps the cut bits on the unit's incident edges,
@@ -482,8 +483,6 @@ struct Evaluated {
     session: Session,
     outcome: SearchOutcome,
     score: f64,
-    /// Per partition, the structural hash its cache key used.
-    hashes: Vec<Option<u64>>,
 }
 
 /// The running search state shared by passes and kicks.
@@ -496,9 +495,6 @@ struct Search<'a> {
     current: Session,
     outcome: SearchOutcome,
     score: f64,
-    /// Per partition, the structural hash the current state's cache key
-    /// used; a candidate carries all but its two partitions' hashes.
-    hashes: Vec<Option<u64>>,
     /// The current state's ranked candidates ([`Search::rank`]), rebuilt
     /// only when the state changes ([`Search::accept`]).
     ranked: Vec<Candidate>,
@@ -577,21 +573,16 @@ impl Search<'_> {
         self.current = next.session;
         self.outcome = next.outcome;
         self.score = next.score;
-        self.hashes = next.hashes;
         self.ranked = self.rank();
     }
 
-    /// Evaluates candidate `c`'s session through the inner engine and
-    /// scores it. Every partition but `c`'s two keeps its membership, so
-    /// their structural hashes are carried in rather than recomputed.
-    fn evaluate(&mut self, c: &Candidate, session: Session) -> Result<Evaluated, ChopError> {
-        let mut known = self.hashes.clone();
-        known[c.from.index()] = None;
-        known[c.to.index()] = None;
-        let (outcome, hashes) = engine::explore(&session, self.spec.heuristic, &known)?;
+    /// Evaluates a candidate's session through the inner engine and
+    /// scores it.
+    fn evaluate(&mut self, session: Session) -> Result<Evaluated, ChopError> {
+        let outcome = engine::explore(&session, self.spec.heuristic)?;
         self.evaluations += 1;
         let score = score_state(session.partitioning(), &outcome);
-        Ok(Evaluated { session, outcome, score, hashes })
+        Ok(Evaluated { session, outcome, score })
     }
 
     /// The budget check between candidate evaluations.
@@ -751,7 +742,7 @@ impl Session {
             budget = budget.with_deadline(d);
         }
         let timer = BudgetTimer::start(budget);
-        let (outcome, hashes) = engine::explore(self, spec.heuristic, &[])?;
+        let outcome = engine::explore(self, spec.heuristic)?;
         let score = score_state(self.partitioning(), &outcome);
         let mut search = Search {
             spec,
@@ -762,7 +753,6 @@ impl Session {
             current: self.clone(),
             outcome,
             score,
-            hashes,
             ranked: Vec::new(),
         };
         search.ranked = search.rank();
@@ -798,7 +788,7 @@ impl Session {
                 // Lock the unit: its verdict is final for this pass.
                 locked[cand.unit] = true;
                 cursor = at + 1;
-                let next = search.evaluate(&cand, session)?;
+                let next = search.evaluate(session)?;
                 let score = next.score;
                 if score.total_cmp(&search.score) == std::cmp::Ordering::Less {
                     search.accept(&cand, next);
@@ -845,7 +835,7 @@ impl Session {
                     search.apply(&c).map(|s| (c, s))
                 });
                 let Some((cand, session)) = picked else { break };
-                let next = search.evaluate(&cand, session)?;
+                let next = search.evaluate(session)?;
                 let score = next.score;
                 let delta = score - search.score;
                 let accept =

@@ -1,9 +1,10 @@
 //! The tentative partitioning: partitions, chip assignments and memories.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use chop_dfg::grouping::{extract_group, Grouping, GroupingError};
+use chop_dfg::hash::structural_hash;
 use chop_dfg::{Dfg, NodeId};
 use chop_library::{ChipId, ChipSet, MemoryId, MemoryModule, MemoryPlacement};
 
@@ -142,7 +143,7 @@ impl std::error::Error for SpecError {}
 /// Construct through [`PartitioningBuilder`]. The DFG is shared: every
 /// partitioning derived from this one (a node move, a chip swap) and
 /// every session holding one point at the same graph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Partitioning {
     dfg: Arc<Dfg>,
     grouping: Grouping,
@@ -150,6 +151,44 @@ pub struct Partitioning {
     partition_chip: Vec<ChipId>,
     memories: Vec<MemoryModule>,
     memory_assignment: Vec<MemoryAssignment>,
+    /// Per partition, the structural hash of its extracted DFG once an
+    /// exploration has keyed it (`partition_hash`). Shared by clones, so
+    /// exploring a cloned session fills the original's memo; a derived
+    /// partitioning keeps the hash of every partition whose members are
+    /// unchanged, since extraction depends on membership alone.
+    hashes: Arc<[OnceLock<u64>]>,
+}
+
+/// Equality ignores the hash memo: it only caches values derived from the
+/// other fields.
+impl PartialEq for Partitioning {
+    fn eq(&self, other: &Self) -> bool {
+        self.dfg == other.dfg
+            && self.grouping == other.grouping
+            && self.chips == other.chips
+            && self.partition_chip == other.partition_chip
+            && self.memories == other.memories
+            && self.memory_assignment == other.memory_assignment
+    }
+}
+
+/// Leaves out the hash memo, like [`PartialEq`].
+impl fmt::Debug for Partitioning {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Partitioning")
+            .field("dfg", &self.dfg)
+            .field("grouping", &self.grouping)
+            .field("chips", &self.chips)
+            .field("partition_chip", &self.partition_chip)
+            .field("memories", &self.memories)
+            .field("memory_assignment", &self.memory_assignment)
+            .finish()
+    }
+}
+
+/// An empty hash memo for `k` partitions.
+fn unhashed(k: usize) -> Arc<[OnceLock<u64>]> {
+    (0..k).map(|_| OnceLock::new()).collect()
 }
 
 impl Partitioning {
@@ -223,6 +262,29 @@ impl Partitioning {
     #[must_use]
     pub fn partition_dfg(&self, p: PartitionId) -> Dfg {
         extract_group(&self.dfg, &self.grouping, p.index())
+    }
+
+    /// The structural hash of [`Partitioning::partition_dfg`], memoised
+    /// for this partitioning, its clones and the partitionings derived
+    /// from it that keep the partition's members. The call that computes
+    /// it leaves the extracted DFG in `extracted` for the caller to reuse.
+    pub(crate) fn partition_hash(&self, p: PartitionId, extracted: &mut Option<Dfg>) -> u64 {
+        let memo = &self.hashes[p.index()];
+        if let Some(&hash) = memo.get() {
+            debug_assert_eq!(
+                hash,
+                structural_hash(&self.partition_dfg(p)),
+                "memoised structural hash of partition {p} is stale"
+            );
+            return hash;
+        }
+        *memo.get_or_init(|| structural_hash(extracted.insert(self.partition_dfg(p))))
+    }
+
+    /// Each partition's memoised structural hash, if computed yet.
+    #[cfg(test)]
+    pub(crate) fn memoised_hashes(&self) -> Vec<Option<u64>> {
+        self.hashes.iter().map(|memo| memo.get().copied()).collect()
     }
 
     /// Inter-partition cut values (constant-fed values excluded — constants
@@ -306,11 +368,20 @@ impl Partitioning {
         Ok(self.with_grouping_unchecked(moved))
     }
 
-    /// A copy on another grouping of the same DFG, sharing the DFG. The
+    /// A copy on another grouping of the same DFG, sharing the DFG and
+    /// the memoised hash of every partition that keeps its members. The
     /// caller guarantees the grouping is valid for it: no empty group and
     /// no mutual data dependency (see [`Partitioning::with_nodes_moved`]).
     pub(crate) fn with_grouping_unchecked(&self, grouping: Grouping) -> Self {
         debug_assert_eq!(grouping.group_count(), self.partition_count());
+        let mut hashes = self.hashes.to_vec();
+        for (node, _) in self.dfg.nodes() {
+            let (from, to) = (self.grouping.group_of(node), grouping.group_of(node));
+            if from != to {
+                hashes[from] = OnceLock::new();
+                hashes[to] = OnceLock::new();
+            }
+        }
         Self {
             dfg: Arc::clone(&self.dfg),
             grouping,
@@ -318,6 +389,7 @@ impl Partitioning {
             partition_chip: self.partition_chip.clone(),
             memories: self.memories.clone(),
             memory_assignment: self.memory_assignment.clone(),
+            hashes: hashes.into(),
         }
     }
 
@@ -595,6 +667,7 @@ impl PartitioningBuilder {
             partition_chip,
             memories: self.memories,
             memory_assignment: self.memory_assignment,
+            hashes: unhashed(k),
         })
     }
 }

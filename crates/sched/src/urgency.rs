@@ -219,7 +219,9 @@ impl TaskGraph {
     ///
     /// Returns [`UrgencyError::Cyclic`] if the precedences form a cycle.
     pub fn urgencies(&self) -> Result<Vec<u64>, UrgencyError> {
-        Ok(self.topology()?.urgencies(&self.durations()))
+        let mut urgency = self.durations();
+        self.topology()?.urgencies_in_place(&mut urgency);
+        Ok(urgency)
     }
 
     fn durations(&self) -> Vec<u64> {
@@ -324,12 +326,6 @@ struct Topology {
 }
 
 impl Topology {
-    fn urgencies(&self, durations: &[u64]) -> Vec<u64> {
-        let mut urgency = durations.to_vec();
-        self.urgencies_in_place(&mut urgency);
-        urgency
-    }
-
     fn urgencies_in_place(&self, values: &mut [u64]) {
         for &i in self.order.iter().rev() {
             let downstream = self
@@ -389,75 +385,137 @@ impl TaskPlan {
 
     /// Schedules the compiled graph with the given task durations (indexed
     /// by [`TaskId`]) over the capacities it was compiled against, with
-    /// the given priority policy.
+    /// the given priority policy. Runs [`TaskPlan::schedule_into`] with
+    /// fresh buffers.
     ///
     /// # Panics
     ///
     /// Panics if `durations` does not have one entry per task.
     #[must_use]
     pub fn schedule(&self, policy: SchedulePolicy, durations: &[u64]) -> TaskSchedule {
+        let mut scratch = TaskScratch::default();
+        self.schedule_into(policy, durations, &mut scratch);
+        scratch.schedule
+    }
+
+    /// [`TaskPlan::schedule`] into caller-owned buffers: a caller that
+    /// schedules many duration vectors keeps one [`TaskScratch`] and
+    /// allocates nothing after the first call. The returned schedule
+    /// lives in `scratch` until the next call.
+    ///
+    /// Each pass visits the ready tasks in the policy's order and starts
+    /// every one whose operands are available and whose demands fit. The
+    /// next pass runs at the same time only if this pass released a task
+    /// whose operands are already available, or started a zero-duration
+    /// task that holds a resource (it frees the resource at once); no
+    /// other task can start before the next finish, so time advances
+    /// there directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `durations` does not have one entry per task.
+    pub fn schedule_into<'s>(
+        &self,
+        policy: SchedulePolicy,
+        durations: &[u64],
+        scratch: &'s mut TaskScratch,
+    ) -> &'s TaskSchedule {
         let n = self.topology.order.len();
         assert_eq!(durations.len(), n, "one duration per task required");
         let capacities = &self.capacities;
         let Topology { preds, succs, .. } = &self.topology;
-        // Each task's position in the policy's total order; every pass
-        // over the ready tasks visits them in that order.
-        let mut rank: Vec<u32> = (0..n as u32).collect();
+        let TaskScratch {
+            urgency,
+            order,
+            rank,
+            pending,
+            operands_at,
+            in_use,
+            running,
+            sets,
+            schedule,
+        } = scratch;
+        // `order[r]` is the task of rank `r` in the policy's total order;
+        // `rank` is its inverse.
+        order.clear();
+        order.extend(0..n as u32);
         if policy == SchedulePolicy::Urgency {
-            let urgency = self.topology.urgencies(durations);
-            let mut by_urgency = rank.clone();
-            by_urgency.sort_unstable_by_key(|&i| (std::cmp::Reverse(urgency[i as usize]), i));
-            for (position, &i) in by_urgency.iter().enumerate() {
-                rank[i as usize] = position as u32;
-            }
+            urgency.clear();
+            urgency.extend_from_slice(durations);
+            self.topology.urgencies_in_place(urgency);
+            order.sort_unstable_by_key(|&i| (std::cmp::Reverse(urgency[i as usize]), i));
         }
-        let mut pending: Vec<usize> = (0..n).map(|i| preds.of(i).len()).collect();
-        // When a ready task's operands are all available.
-        let mut operands_at = vec![0u64; n];
-        let mut start = vec![0u64; n];
-        let mut finish = vec![0u64; n];
-        let mut in_use = vec![0u64; capacities.len()];
-        // Running tasks: (finish_time, index).
-        let mut running: Vec<(u64, u32)> = Vec::new();
-        let mut ready: Vec<u32> = (0..n as u32).filter(|&i| pending[i as usize] == 0).collect();
-        let mut waiting: Vec<u32> = Vec::new();
+        rank.resize(n, 0);
+        for (r, &i) in order.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        pending.clear();
+        pending.extend((0..n).map(|i| preds.of(i).len()));
+        // Finish time of a task's latest operand so far; final once the
+        // task is ready.
+        operands_at.clear();
+        operands_at.resize(n, 0);
+        in_use.clear();
+        in_use.resize(capacities.len(), 0);
+        running.clear();
+        // Bit `r` of word `r / 64`: the task of rank `r` is ready, or was
+        // released this pass and becomes ready when the pass ends.
+        let words = n.div_ceil(64);
+        sets.clear();
+        sets.resize(2 * words, 0);
+        let (ready, released) = sets.split_at_mut(words);
+        let mark = |set: &mut [u64], r: u32| set[r as usize / 64] |= 1 << (r % 64);
+        for i in (0..n).filter(|&i| pending[i] == 0) {
+            mark(ready, rank[i]);
+        }
+        let TaskSchedule { start, finish } = schedule;
+        start.clear();
+        start.resize(n, 0);
+        finish.clear();
+        finish.resize(n, 0);
         let mut time = 0u64;
         let mut done = 0usize;
         while done < n {
-            ready.sort_unstable_by_key(|&i| rank[i as usize]);
-            let mut progressed = false;
-            for &i in &ready {
-                let i = i as usize;
-                let demands = self.demands.of(i);
-                if operands_at[i] > time
-                    || !demands
-                        .iter()
-                        .all(|&(r, a)| in_use[r as usize] + a <= capacities[r as usize])
-                {
-                    waiting.push(i as u32);
-                    continue;
-                }
-                for &(r, amount) in demands {
-                    in_use[r as usize] += amount;
-                }
-                start[i] = time;
-                finish[i] = time + durations[i];
-                running.push((finish[i], i as u32));
-                done += 1;
-                progressed = true;
-                for &s in succs.of(i) {
-                    let s = s as usize;
-                    pending[s] -= 1;
-                    if pending[s] == 0 {
-                        operands_at[s] =
-                            preds.of(s).iter().map(|&p| finish[p as usize]).max().unwrap_or(0);
-                        waiting.push(s as u32);
+            // A task can start in the next pass at this time.
+            let mut again = false;
+            for (w, word) in ready.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let i = order[w * 64 + bit as usize] as usize;
+                    let demands = self.demands.of(i);
+                    if operands_at[i] > time
+                        || !demands
+                            .iter()
+                            .all(|&(r, a)| in_use[r as usize] + a <= capacities[r as usize])
+                    {
+                        continue;
+                    }
+                    for &(r, amount) in demands {
+                        in_use[r as usize] += amount;
+                    }
+                    *word &= !(1 << bit);
+                    start[i] = time;
+                    finish[i] = time + durations[i];
+                    running.push((finish[i], i as u32));
+                    done += 1;
+                    again |= durations[i] == 0 && !demands.is_empty();
+                    for &s in succs.of(i) {
+                        let s = s as usize;
+                        operands_at[s] = operands_at[s].max(finish[i]);
+                        pending[s] -= 1;
+                        if pending[s] == 0 {
+                            mark(released, rank[s]);
+                            again |= operands_at[s] <= time;
+                        }
                     }
                 }
             }
-            std::mem::swap(&mut ready, &mut waiting);
-            waiting.clear();
-            if !progressed {
+            for (ready, released) in ready.iter_mut().zip(released.iter_mut()) {
+                *ready |= std::mem::take(released);
+            }
+            if !again {
                 // Advance to the next release. A waiting task's operands
                 // come from placed tasks, which are running until they
                 // finish, so no operand-availability event comes earlier.
@@ -479,7 +537,7 @@ impl TaskPlan {
                 false
             });
         }
-        TaskSchedule { start, finish }
+        schedule
     }
 
     /// Idle (wait) time between a task's operands being ready and its
@@ -503,8 +561,25 @@ impl TaskPlan {
     }
 }
 
+/// Working buffers for [`TaskPlan::schedule_into`], reusable across calls
+/// and across plans of any size.
+#[derive(Debug, Clone, Default)]
+pub struct TaskScratch {
+    urgency: Vec<u64>,
+    order: Vec<u32>,
+    rank: Vec<u32>,
+    pending: Vec<usize>,
+    operands_at: Vec<u64>,
+    in_use: Vec<u64>,
+    /// Running tasks: (finish time, index).
+    running: Vec<(u64, u32)>,
+    /// The ready and released bitsets, one after the other.
+    sets: Vec<u64>,
+    schedule: TaskSchedule,
+}
+
 /// The result of [`TaskGraph::schedule`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskSchedule {
     start: Vec<u64>,
     finish: Vec<u64>,

@@ -2,9 +2,17 @@
 //! many duration vectors must match a fresh compile per vector and a
 //! reference list scheduler, its `wait_before` must match the schedule's
 //! own, and `compile` must report exactly the error scheduling reports.
+//!
+//! The plan skips the passes that cannot start anything; the cases where
+//! it must instead re-run a pass at the same time (chains of
+//! zero-duration tasks, zero-duration tasks that hold a resource, tasks
+//! that contend at equal urgency) are compared with the reference both
+//! by example and on random shapes built mostly of them.
+//!
+//! [`TaskPlan`]: chop_sched::urgency::TaskPlan
 
 use chop_sched::urgency::{
-    ResourceId, SchedulePolicy, TaskGraph, TaskId, TaskSchedule, UrgencyError,
+    ResourceId, SchedulePolicy, TaskGraph, TaskId, TaskSchedule, TaskScratch, UrgencyError,
 };
 use proptest::prelude::*;
 
@@ -171,6 +179,136 @@ fn reference_schedule(
     start.into_iter().zip(finish).collect()
 }
 
+/// Checks `shape` at `durations` under both policies against the
+/// reference, scheduling into `scratch` (reused across calls and shapes).
+fn check_against_reference(shape: &Shape, durations: &[u64], scratch: &mut TaskScratch) {
+    let (graph, ids) = shape.graph(durations);
+    let plan = graph.compile(&shape.capacities).expect("valid shape");
+    for policy in [SchedulePolicy::Urgency, SchedulePolicy::Fifo] {
+        let reference = reference_schedule(shape, durations, policy);
+        let fresh = plan.schedule(policy, durations);
+        let reused = plan.schedule_into(policy, durations, scratch);
+        assert_same(reused, &fresh, &ids);
+        for (&id, &(start, finish)) in ids.iter().zip(&reference) {
+            assert_eq!(
+                (reused.start(id), reused.finish(id)),
+                (start, finish),
+                "{policy}: task {id} of {shape:?} at {durations:?}"
+            );
+        }
+    }
+}
+
+/// A chain of zero-duration tasks, some holding the whole resource: each
+/// releases the next with its operands available, so the whole chain
+/// runs at time 0.
+#[test]
+fn zero_duration_chains_run_at_one_time() {
+    let shape = Shape {
+        tasks: vec![
+            (0, vec![(0, 4)]),
+            (0, vec![]),
+            (0, vec![(0, 4)]),
+            (0, vec![(0, 4)]),
+            (2, vec![(0, 4)]),
+        ],
+        deps: vec![(0, 1), (1, 2), (2, 3), (3, 4)],
+        capacities: vec![4],
+    };
+    let mut scratch = TaskScratch::default();
+    check_against_reference(&shape, &shape.durations(), &mut scratch);
+    let (graph, ids) = shape.graph(&shape.durations());
+    let s = graph.schedule(&shape.capacities).expect("valid shape");
+    for &id in &ids {
+        assert_eq!(s.start(id), 0, "task {id}");
+    }
+    assert_eq!(s.makespan(), 2);
+}
+
+/// Zero-duration tasks that hold the whole resource and release nothing:
+/// each frees the resource at once, so the next contender starts at the
+/// same time, one pass later.
+#[test]
+fn zero_duration_tasks_holding_a_resource_free_it_at_once() {
+    let shape = Shape {
+        tasks: vec![(0, vec![(0, 8)]), (0, vec![(0, 8)]), (0, vec![(0, 8)]), (5, vec![(0, 8)])],
+        deps: vec![],
+        capacities: vec![8],
+    };
+    let mut scratch = TaskScratch::default();
+    check_against_reference(&shape, &shape.durations(), &mut scratch);
+    let (graph, ids) = shape.graph(&shape.durations());
+    let starts = |policy| {
+        let s = graph.schedule_with(policy, &shape.capacities).expect("valid shape");
+        ids.iter().map(|&id| s.start(id)).collect::<Vec<_>>()
+    };
+    // First come, first served: all three pass through at time 0 before
+    // the five-cycle task takes the pins.
+    assert_eq!(starts(SchedulePolicy::Fifo), [0, 0, 0, 0]);
+    // Most urgent first: the five-cycle task holds the pins, then the
+    // three pass through at its finish.
+    assert_eq!(starts(SchedulePolicy::Urgency), [5, 5, 5, 0]);
+}
+
+/// Tasks of equal urgency contending for one pin pool: ties go by task
+/// index, and each finish admits the next contender.
+#[test]
+fn equal_urgency_contention_breaks_ties_by_index() {
+    let shape = Shape {
+        tasks: vec![
+            (0, vec![]),
+            (3, vec![(0, 6)]),
+            (3, vec![(0, 6)]),
+            (3, vec![(0, 6), (1, 1)]),
+            (3, vec![(1, 1)]),
+            (0, vec![(0, 6)]),
+            (0, vec![(0, 6)]),
+        ],
+        deps: vec![(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)],
+        capacities: vec![10, 1],
+    };
+    let mut scratch = TaskScratch::default();
+    check_against_reference(&shape, &shape.durations(), &mut scratch);
+    for durations in [[1, 3, 3, 3, 3, 3, 3], [0, 0, 0, 0, 0, 0, 0], [2, 1, 1, 1, 1, 0, 0]] {
+        check_against_reference(&shape, &durations, &mut scratch);
+    }
+}
+
+/// Shapes built mostly of the cases above: zero durations, equal
+/// durations and demands that fill a resource.
+fn arb_zero_heavy_dag() -> impl Strategy<Value = Shape> {
+    (1usize..20, 1usize..3).prop_flat_map(|(n, resources)| {
+        let capacities = proptest::collection::vec(1u64..6, resources..resources + 1);
+        let tasks = proptest::collection::vec(
+            (
+                (0usize..5).prop_map(|d| [0u64, 0, 0, 1, 3][d]),
+                proptest::collection::vec((0u32..2, 1u64..6), 0..3),
+            ),
+            n..n + 1,
+        );
+        let edges = proptest::collection::vec((0usize..n, 0usize..n), 0..n + 1);
+        (capacities, tasks, edges).prop_map(|(capacities, tasks, edges)| {
+            let tasks = tasks
+                .into_iter()
+                .map(|(d, demands)| {
+                    let demands = demands
+                        .into_iter()
+                        .filter(|&(r, _)| (r as usize) < capacities.len())
+                        .map(|(r, a)| (r, a.min(capacities[r as usize])))
+                        .collect();
+                    (d, demands)
+                })
+                .collect();
+            let deps = edges
+                .into_iter()
+                .filter(|&(a, b)| a != b)
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            Shape { tasks, deps, capacities }
+        })
+    })
+}
+
 fn assert_same(a: &TaskSchedule, b: &TaskSchedule, ids: &[TaskId]) {
     assert_eq!(a.makespan(), b.makespan());
     for &id in ids {
@@ -223,6 +361,17 @@ proptest! {
                     prop_assert_eq!((reused.start(id), reused.finish(id)), (start, finish));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn zero_heavy_shapes_match_the_reference(
+        shapes in proptest::collection::vec(arb_zero_heavy_dag(), 1..4),
+    ) {
+        // One scratch across shapes of different sizes.
+        let mut scratch = TaskScratch::default();
+        for shape in &shapes {
+            check_against_reference(shape, &shape.durations(), &mut scratch);
         }
     }
 

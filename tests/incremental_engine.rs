@@ -1,17 +1,18 @@
 //! Engine-level properties of the staged exploration pipeline: the
 //! dominance relation is a strict partial order, level-2 pruning agrees
-//! with it, outcomes are byte-identical for any worker count, and
-//! repartitioning re-predicts only the partitions that changed.
+//! with it, outcomes are byte-identical for any worker count,
+//! repartitioning re-predicts only the partitions that changed, and the
+//! structural hashes a partitioning memoises change no key or result.
 
 use chop_bad::{ArchitectureStyle, ClockConfig, PredictorParams};
 use chop_core::prelude::experiments::{experiment1_session, Exp1Config};
 use chop_core::prelude::spec::PartitioningBuilder;
 use chop_core::prelude::{
-    Constraints, Heuristic, PartitionId, Session, SystemPrediction, Verdict,
+    Constraints, Heuristic, PartitionId, Partitioning, Session, SystemPrediction, Verdict,
 };
 use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
 use chop_library::standard::{table1_library, table2_packages};
-use chop_library::ChipSet;
+use chop_library::{ChipId, ChipSet};
 use chop_stat::units::{Cycles, Nanos};
 use chop_stat::Estimate;
 use proptest::prelude::*;
@@ -183,4 +184,78 @@ fn identical_re_explore_is_fully_cached() {
     assert_eq!(second.trace.predictor_calls, 0);
     assert_eq!(second.cache.hits, 2);
     assert_eq!(first.digest(), second.digest(), "caching must not change results");
+}
+
+/// The same partitioning built afresh, with nothing memoised.
+fn rebuilt(p: &Partitioning) -> Partitioning {
+    PartitioningBuilder::new(p.dfg().clone(), p.chips().clone())
+        .with_grouping(p.grouping().clone())
+        .with_chip_assignment(p.partition_ids().map(|q| p.chip_of(q)).collect())
+        .build()
+        .expect("a valid partitioning rebuilds")
+}
+
+/// A what-if dialogue (node moves, a move trace, a chip swap, a return to
+/// earlier states), each step derived after the previous one was
+/// explored, so its partitioning carries memoised hashes; and the same
+/// steps on fresh sessions built on the same partitionings and sharing
+/// one cache of the same capacity. Digests and cache counters must agree
+/// step by step under every capacity.
+#[test]
+fn memoised_hashes_change_no_key_under_any_cache() {
+    let params = RandomDfgParams { layers: 6, width: 4, inputs: 2, mul_percent: 40, bits: 16 };
+    for capacity in [None, Some(0), Some(2)] {
+        let configure = |s: Session| match capacity {
+            Some(c) => s.with_cache_capacity(c),
+            None => s,
+        };
+        let base = configure(session_for(random_layered(11, params), 4));
+        let fresh_cache = configure(session_for(random_layered(11, params), 4));
+        let mut step = 0;
+        let mut explore = |derived: &Session| {
+            let fresh = fresh_cache
+                .clone()
+                .try_with_partitioning(rebuilt(derived.partitioning()))
+                .unwrap();
+            let a = derived.explore(Heuristic::Iterative).unwrap();
+            let b = fresh.explore(Heuristic::Iterative).unwrap();
+            let case = format!("capacity {capacity:?}, step {step}");
+            assert_eq!(a.digest(), b.digest(), "{case}");
+            assert_eq!(a.cache, b.cache, "{case}: per-run cache counters");
+            assert_eq!(a.trace.predictor_calls, b.trace.predictor_calls, "{case}");
+            assert_eq!(derived.cache_stats(), fresh.cache_stats(), "{case}: lifetime counters");
+            step += 1;
+        };
+        let first_movable = |s: &Session, from: usize, to: u32| {
+            s.partitioning()
+                .grouping()
+                .members(from)
+                .into_iter()
+                .find_map(|node| s.repartition(node, PartitionId::new(to)).ok())
+                .expect("a movable node")
+        };
+        explore(&base);
+        let moved = first_movable(&base, 0, 1);
+        explore(&moved);
+        let grouping = moved.partitioning().grouping();
+        let trace: Vec<_> = [grouping.members(3)[0], grouping.members(2)[0]]
+            .into_iter()
+            .map(|node| (node, PartitionId::new(2)))
+            .collect();
+        let traced = moved.apply_moves(&trace).unwrap_or_else(|_| first_movable(&moved, 3, 2));
+        explore(&traced);
+        let on_chip =
+            traced.partitioning().with_partition_on_chip(PartitionId::new(1), ChipId::new(0));
+        let swapped = traced.clone().try_with_partitioning(on_chip.unwrap()).unwrap();
+        explore(&swapped);
+        explore(&swapped);
+        explore(&moved);
+        explore(&base);
+        let totals = base.cache_stats();
+        match capacity {
+            Some(0) => assert_eq!((totals.hits, totals.entries), (0, 0), "a disabled cache"),
+            Some(_) => assert!(totals.evictions > 0, "a two-entry cache never evicted"),
+            None => assert!(totals.hits > 0, "the dialogue never hit the cache"),
+        }
+    }
 }
