@@ -51,16 +51,16 @@ fn bench_urgency(c: &mut Criterion) {
     // A fan-out/fan-in task pipeline over one contended pin pool.
     let pins = ResourceId::new(0);
     let mut g = TaskGraph::new();
-    let src = g.add_task("src", 4, vec![]);
+    let src = g.add_task(4, vec![]);
     let mut sinks = Vec::new();
-    for i in 0..32 {
-        let xfer = g.add_task(format!("x{i}"), 3, vec![(pins, 16)]);
-        let work = g.add_task(format!("w{i}"), 10, vec![]);
+    for _ in 0..32 {
+        let xfer = g.add_task(3, vec![(pins, 16)]);
+        let work = g.add_task(10, vec![]);
         g.add_dep(src, xfer).unwrap();
         g.add_dep(xfer, work).unwrap();
         sinks.push(work);
     }
-    let done = g.add_task("done", 1, vec![]);
+    let done = g.add_task(1, vec![]);
     for s in sinks {
         g.add_dep(s, done).unwrap();
     }

@@ -179,18 +179,22 @@ impl RunStatus {
         }
     }
 
-    /// Classifies an exploration outcome: truncation wins over the
-    /// feasible/infeasible verdict because the results are partial either
-    /// way. E→I degradation is a *complete* (heuristic-I) search and does
-    /// not truncate.
-    fn from_outcome(outcome: &SearchOutcome) -> Self {
-        if outcome.completion.is_truncated() {
+    /// The one exit rule for a search result, local or served:
+    /// truncation wins over the feasible/infeasible verdict because the
+    /// results are partial either way. E→I degradation is a *complete*
+    /// (heuristic-I) search and does not truncate.
+    pub(crate) fn of(completion: Completion, feasible: bool) -> Self {
+        if completion.is_truncated() {
             RunStatus::Truncated
-        } else if outcome.feasible.is_empty() {
-            RunStatus::Infeasible
-        } else {
+        } else if feasible {
             RunStatus::Feasible
+        } else {
+            RunStatus::Infeasible
         }
+    }
+
+    fn from_outcome(outcome: &SearchOutcome) -> Self {
+        Self::of(outcome.completion, !outcome.feasible.is_empty())
     }
 }
 
@@ -337,13 +341,10 @@ fn optimize(opts: &Options, params: &OptimizeParams) -> Result<RunStatus, Box<dy
     for mv in &result.moves {
         let nodes =
             mv.nodes.iter().map(|n| n.index().to_string()).collect::<Vec<_>>().join("+");
-        let kind = match mv.kind {
-            MoveKind::Gain => "gain",
-            MoveKind::Kick => "kick",
-        };
         println!(
-            "  pass {} {kind}: node {nodes} {} -> {}",
+            "  pass {} {}: node {nodes} {} -> {}",
             mv.pass,
+            mv.kind,
             mv.from.index(),
             mv.to.index()
         );
@@ -351,13 +352,7 @@ fn optimize(opts: &Options, params: &OptimizeParams) -> Result<RunStatus, Box<dy
     println!();
     report_outcome(opts, &result.outcome, &session);
     println!("\ndigest {}", result.digest());
-    Ok(if result.completion.is_truncated() {
-        RunStatus::Truncated
-    } else if result.feasible() {
-        RunStatus::Feasible
-    } else {
-        RunStatus::Infeasible
-    })
+    Ok(RunStatus::of(result.completion, result.feasible()))
 }
 
 fn check(opts: &Options) -> Result<RunStatus, Box<dyn Error>> {

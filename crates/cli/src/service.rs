@@ -4,10 +4,9 @@ use std::error::Error;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 
-use chop_core::prelude::MoveKind;
 use chop_service::{
     Client, ExploreParams, OpenParams, OptimizeParams, OptimizeSummary, Request, Response,
-    RetryPolicy, Router, RouterConfig, RunSummary, ServeConfig, Server,
+    RetryPolicy, Role, Router, RouterConfig, RunSummary, ServeConfig, Server,
     DEFAULT_CONNECT_TIMEOUT,
 };
 
@@ -35,10 +34,12 @@ pub fn serve(addr: &str, config: ServeConfig) -> Result<RunStatus, Box<dyn Error
         chop_service::PROTOCOL_VERSION
     );
     let manager = server.manager();
-    if manager.is_fenced() {
-        println!("fenced standby: a newer primary superseded this node; resyncing");
-    } else if manager.is_standby() {
-        println!("warm standby: refusing direct mutations until promoted");
+    match manager.role() {
+        Role::Fenced => {
+            println!("fenced standby: a newer primary superseded this node; resyncing");
+        }
+        Role::Standby => println!("warm standby: refusing direct mutations until promoted"),
+        Role::Primary => {}
     }
     if let Some(peer) = peer {
         println!("replication peer: {peer}");
@@ -354,7 +355,7 @@ fn parse_client_request(command: &str, rest: &[String]) -> Result<Request, Box<d
 fn render_response(out: &mut String, response: &Response) -> Result<RunStatus, Box<dyn Error>> {
     match response {
         Response::Pong { version, role, epoch, peer } => {
-            match role.as_deref() {
+            match role {
                 Some(role) => {
                     let peer = peer.as_deref().map_or(String::new(), |p| format!(", peer {p}"));
                     writeln!(out, "pong (protocol v{version}, {role} at epoch {epoch}{peer})")?;
@@ -369,17 +370,11 @@ fn render_response(out: &mut String, response: &Response) -> Result<RunStatus, B
         }
         Response::Explored { session, run } => {
             write_run(out, session, run)?;
-            Ok(run_status(run))
+            Ok(RunStatus::of(run.completion, run.feasible > 0))
         }
         Response::Optimized { session, result } => {
             write_optimize(out, session, result)?;
-            Ok(if result.completion.is_truncated() {
-                RunStatus::Truncated
-            } else if result.feasible {
-                RunStatus::Feasible
-            } else {
-                RunStatus::Infeasible
-            })
+            Ok(RunStatus::of(result.completion, result.feasible))
         }
         Response::MovesApplied { session, moves } => {
             writeln!(out, "session {session:?}: {moves} move(s) applied")?;
@@ -511,24 +506,10 @@ fn write_optimize(out: &mut String, session: &str, result: &OptimizeSummary) -> 
     writeln!(out, "  score: {:.3} -> {:.3}", result.initial_score, result.final_score)?;
     for mv in &result.moves {
         let nodes = mv.nodes.iter().map(ToString::to_string).collect::<Vec<_>>().join("+");
-        let kind = match mv.kind {
-            MoveKind::Gain => "gain",
-            MoveKind::Kick => "kick",
-        };
-        writeln!(out, "  pass {} {kind}: node {nodes} {} -> {}", mv.pass, mv.from, mv.to)?;
+        writeln!(out, "  pass {} {}: node {nodes} {} -> {}", mv.pass, mv.kind, mv.from, mv.to)?;
     }
     write_run(out, "final state", &result.run)?;
     writeln!(out, "  optimize digest {}", result.digest)
-}
-
-fn run_status(run: &RunSummary) -> RunStatus {
-    if run.completion.is_truncated() {
-        RunStatus::Truncated
-    } else if run.feasible == 0 {
-        RunStatus::Infeasible
-    } else {
-        RunStatus::Feasible
-    }
 }
 
 #[cfg(test)]
@@ -709,8 +690,12 @@ mod tests {
             combinations_skipped: 0,
         };
         use chop_core::prelude::Completion;
-        assert_eq!(run_status(&run(1, Completion::Complete)), RunStatus::Feasible);
-        assert_eq!(run_status(&run(0, Completion::Complete)), RunStatus::Infeasible);
-        assert_eq!(run_status(&run(1, Completion::TruncatedDeadline)), RunStatus::Truncated);
+        let status = |run| {
+            let explored = Response::Explored { session: "s".into(), run };
+            render_response(&mut String::new(), &explored).unwrap()
+        };
+        assert_eq!(status(run(1, Completion::Complete)), RunStatus::Feasible);
+        assert_eq!(status(run(0, Completion::Complete)), RunStatus::Infeasible);
+        assert_eq!(status(run(1, Completion::TruncatedDeadline)), RunStatus::Truncated);
     }
 }

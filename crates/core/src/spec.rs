@@ -550,13 +550,6 @@ impl PartitioningBuilder {
         }
     }
 
-    /// Uses a single partition containing the whole specification.
-    #[must_use]
-    pub fn single_partition(mut self) -> Self {
-        self.grouping = Some(Ok(Grouping::single(&self.dfg)));
-        self
-    }
-
     /// Splits the graph into `k` topological slices of roughly equal size —
     /// the "horizontal cut" partitioning of the paper's experiments. A `k`
     /// of zero or above the node count makes [`build`](Self::build) return

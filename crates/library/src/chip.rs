@@ -194,12 +194,6 @@ impl ChipSet {
         Self { chips: vec![package; count] }
     }
 
-    /// Creates a chip set from explicit packages.
-    #[must_use]
-    pub fn from_packages(packages: impl IntoIterator<Item = ChipPackage>) -> Self {
-        Self { chips: packages.into_iter().collect() }
-    }
-
     /// Adds one chip and returns its id.
     pub fn push(&mut self, package: ChipPackage) -> ChipId {
         let id = ChipId::new(self.chips.len() as u32);

@@ -59,7 +59,6 @@ impl fmt::Display for ResourceId {
 struct Task {
     duration: u64,
     demands: Vec<(ResourceId, u64)>,
-    label: String,
 }
 
 /// Error constructing or scheduling a [`TaskGraph`].
@@ -129,9 +128,9 @@ impl fmt::Display for SchedulePolicy {
 ///
 /// let pins = ResourceId::new(0);
 /// let mut g = TaskGraph::new();
-/// let produce = g.add_task("P1", 10, vec![]);
-/// let transfer = g.add_task("T1", 3, vec![(pins, 16)]);
-/// let consume = g.add_task("P2", 8, vec![]);
+/// let produce = g.add_task(10, vec![]);
+/// let transfer = g.add_task(3, vec![(pins, 16)]);
+/// let consume = g.add_task(8, vec![]);
 /// g.add_dep(produce, transfer)?;
 /// g.add_dep(transfer, consume)?;
 /// let s = g.schedule(&[16])?;
@@ -153,14 +152,9 @@ impl TaskGraph {
 
     /// Adds a task with a duration (cycles) and resource demands; returns
     /// its id.
-    pub fn add_task(
-        &mut self,
-        label: impl Into<String>,
-        duration: u64,
-        demands: Vec<(ResourceId, u64)>,
-    ) -> TaskId {
+    pub fn add_task(&mut self, duration: u64, demands: Vec<(ResourceId, u64)>) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(Task { duration, demands, label: label.into() });
+        self.tasks.push(Task { duration, demands });
         id
     }
 
@@ -190,26 +184,6 @@ impl TaskGraph {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// Duration of a task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn duration(&self, id: TaskId) -> u64 {
-        self.tasks[id.index()].duration
-    }
-
-    /// Label of a task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn label(&self, id: TaskId) -> &str {
-        &self.tasks[id.index()].label
     }
 
     /// Urgency of each task: its own duration plus the longest downstream
@@ -352,8 +326,8 @@ impl Topology {
 ///
 /// let pins = ResourceId::new(0);
 /// let mut g = TaskGraph::new();
-/// let produce = g.add_task("P1", 0, vec![]);
-/// let transfer = g.add_task("T1", 3, vec![(pins, 16)]);
+/// let produce = g.add_task(0, vec![]);
+/// let transfer = g.add_task(3, vec![(pins, 16)]);
 /// g.add_dep(produce, transfer)?;
 /// let plan = g.compile(&[16])?;
 /// for latency in [10, 20] {
@@ -634,8 +608,8 @@ mod tests {
     #[test]
     fn chain_schedules_sequentially() {
         let mut g = TaskGraph::new();
-        let a = g.add_task("a", 5, vec![]);
-        let b = g.add_task("b", 3, vec![]);
+        let a = g.add_task(5, vec![]);
+        let b = g.add_task(3, vec![]);
         g.add_dep(a, b).unwrap();
         let s = g.schedule(&[]).unwrap();
         assert_eq!(s.start(a), 0);
@@ -646,8 +620,8 @@ mod tests {
     #[test]
     fn cyclic_deps_rejected() {
         let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1, vec![]);
-        let b = g.add_task("b", 1, vec![]);
+        let a = g.add_task(1, vec![]);
+        let b = g.add_task(1, vec![]);
         g.add_dep(a, b).unwrap();
         g.add_dep(b, a).unwrap();
         assert_eq!(g.schedule(&[]).unwrap_err(), UrgencyError::Cyclic);
@@ -657,7 +631,7 @@ mod tests {
     fn impossible_demand_rejected() {
         let pins = ResourceId::new(0);
         let mut g = TaskGraph::new();
-        let _ = g.add_task("x", 1, vec![(pins, 100)]);
+        let _ = g.add_task(1, vec![(pins, 100)]);
         assert!(matches!(
             g.schedule(&[64]).unwrap_err(),
             UrgencyError::UnsatisfiableDemand { .. }
@@ -667,7 +641,7 @@ mod tests {
     #[test]
     fn unknown_resource_rejected() {
         let mut g = TaskGraph::new();
-        let _ = g.add_task("x", 1, vec![(ResourceId::new(5), 1)]);
+        let _ = g.add_task(1, vec![(ResourceId::new(5), 1)]);
         assert!(matches!(g.schedule(&[1]).unwrap_err(), UrgencyError::UnknownResource(_)));
     }
 
@@ -675,8 +649,8 @@ mod tests {
     fn resource_contention_serializes() {
         let pins = ResourceId::new(0);
         let mut g = TaskGraph::new();
-        let a = g.add_task("a", 4, vec![(pins, 10)]);
-        let b = g.add_task("b", 4, vec![(pins, 10)]);
+        let a = g.add_task(4, vec![(pins, 10)]);
+        let b = g.add_task(4, vec![(pins, 10)]);
         let s = g.schedule(&[10]).unwrap();
         // Both want all 10 pins: must serialize.
         let (first, second) = if s.start(a) <= s.start(b) { (a, b) } else { (b, a) };
@@ -689,8 +663,8 @@ mod tests {
     fn partial_demands_overlap() {
         let pins = ResourceId::new(0);
         let mut g = TaskGraph::new();
-        let a = g.add_task("a", 4, vec![(pins, 5)]);
-        let b = g.add_task("b", 4, vec![(pins, 5)]);
+        let a = g.add_task(4, vec![(pins, 5)]);
+        let b = g.add_task(4, vec![(pins, 5)]);
         let s = g.schedule(&[10]).unwrap();
         assert_eq!(s.start(a), 0);
         assert_eq!(s.start(b), 0);
@@ -702,9 +676,9 @@ mod tests {
         let pins = ResourceId::new(0);
         let mut g = TaskGraph::new();
         // Critical chain: a(2) -> c(10). Short task: b(2).
-        let a = g.add_task("a", 2, vec![(pins, 10)]);
-        let b = g.add_task("b", 2, vec![(pins, 10)]);
-        let c = g.add_task("c", 10, vec![]);
+        let a = g.add_task(2, vec![(pins, 10)]);
+        let b = g.add_task(2, vec![(pins, 10)]);
+        let c = g.add_task(10, vec![]);
         g.add_dep(a, c).unwrap();
         let s = g.schedule(&[10]).unwrap();
         // a (urgency 12) must run before b (urgency 2).
@@ -717,9 +691,9 @@ mod tests {
     fn wait_before_measures_stall() {
         let pins = ResourceId::new(0);
         let mut g = TaskGraph::new();
-        let src = g.add_task("src", 1, vec![]);
-        let hog = g.add_task("hog", 10, vec![(pins, 8)]);
-        let xfer = g.add_task("xfer", 2, vec![(pins, 8)]);
+        let src = g.add_task(1, vec![]);
+        let hog = g.add_task(10, vec![(pins, 8)]);
+        let xfer = g.add_task(2, vec![(pins, 8)]);
         g.add_dep(src, xfer).unwrap();
         let s = g.schedule(&[8]).unwrap();
         // hog (urgency 10) grabs the pins at t=0; xfer's operand is ready at
@@ -734,9 +708,9 @@ mod tests {
         // FIFO starts b (id order) while the critical chain a→c waits.
         let pins = ResourceId::new(0);
         let mut g = TaskGraph::new();
-        let b = g.add_task("b", 2, vec![(pins, 10)]);
-        let a = g.add_task("a", 2, vec![(pins, 10)]);
-        let c = g.add_task("c", 10, vec![]);
+        let b = g.add_task(2, vec![(pins, 10)]);
+        let a = g.add_task(2, vec![(pins, 10)]);
+        let c = g.add_task(10, vec![]);
         g.add_dep(a, c).unwrap();
         let urgent = g.schedule_with(SchedulePolicy::Urgency, &[10]).unwrap();
         let fifo = g.schedule_with(SchedulePolicy::Fifo, &[10]).unwrap();
@@ -747,8 +721,8 @@ mod tests {
     #[test]
     fn policies_agree_without_contention() {
         let mut g = TaskGraph::new();
-        let a = g.add_task("a", 3, vec![]);
-        let b = g.add_task("b", 4, vec![]);
+        let a = g.add_task(3, vec![]);
+        let b = g.add_task(4, vec![]);
         let _ = (a, b);
         let u = g.schedule_with(SchedulePolicy::Urgency, &[]).unwrap();
         let f = g.schedule_with(SchedulePolicy::Fifo, &[]).unwrap();
@@ -758,9 +732,9 @@ mod tests {
     #[test]
     fn urgencies_computed_along_longest_path() {
         let mut g = TaskGraph::new();
-        let a = g.add_task("a", 1, vec![]);
-        let b = g.add_task("b", 2, vec![]);
-        let c = g.add_task("c", 3, vec![]);
+        let a = g.add_task(1, vec![]);
+        let b = g.add_task(2, vec![]);
+        let c = g.add_task(3, vec![]);
         g.add_dep(a, b).unwrap();
         g.add_dep(b, c).unwrap();
         let u = g.urgencies().unwrap();

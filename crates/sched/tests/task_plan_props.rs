@@ -32,10 +32,9 @@ impl Shape {
             .tasks
             .iter()
             .zip(durations)
-            .enumerate()
-            .map(|(i, ((_, demands), &d))| {
+            .map(|((_, demands), &d)| {
                 let demands = demands.iter().map(|&(r, a)| (ResourceId::new(r), a)).collect();
-                g.add_task(format!("t{i}"), d, demands)
+                g.add_task(d, demands)
             })
             .collect();
         for &(a, b) in &self.deps {

@@ -643,7 +643,7 @@ mod tests {
             let mut writer = stream;
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
-            assert!(matches!(Request::decode(line.trim()), Ok(Request::Ping)));
+            assert!(matches!(Request::decode_tagged(line.trim()), Ok((Request::Ping, None))));
             let reply = Response::Pong {
                 version: crate::protocol::PROTOCOL_VERSION,
                 role: None,

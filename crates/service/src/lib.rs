@@ -63,7 +63,7 @@ pub use manager::{
 pub use net::ShutdownGate;
 pub use protocol::{
     BudgetEnvelope, ErrorKind, ExploreParams, MoveSummary, OpenParams, OptimizeParams,
-    OptimizeSummary, Request, Response, RunSummary, ServiceError, PROTOCOL_VERSION,
+    OptimizeSummary, Request, Response, Role, RunSummary, ServiceError, PROTOCOL_VERSION,
 };
 pub use replication::{ReplEvent, Replicator};
 pub use router::{BackendSpec, HashRing, Router, RouterConfig};

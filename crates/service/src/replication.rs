@@ -43,7 +43,7 @@ use std::time::Duration;
 use crate::client::{Client, ClientError, Jitter, DEFAULT_CONNECT_TIMEOUT};
 use crate::manager::SessionManager;
 use crate::net::POLL_INTERVAL;
-use crate::protocol::{Request, Response, ServiceError};
+use crate::protocol::{Request, Response};
 
 /// Smallest reconnect backoff; each retry sleeps a decorrelated-jitter
 /// draw from `INITIAL_BACKOFF..=3×previous`, capped at [`MAX_BACKOFF`] —
@@ -243,11 +243,7 @@ fn connect_and_sync(
 fn ship(client: &mut Client, request: &Request) -> Result<u64, ClientError> {
     match client.request(request)? {
         Response::ReplAck { seq } => Ok(seq),
-        Response::Error(e) => Err(ClientError::Protocol(e)),
-        other => Err(ClientError::Protocol(ServiceError::protocol(format!(
-            "unexpected replication reply: {}",
-            other.encode()
-        )))),
+        other => Err(ClientError::Protocol(other.into_error("replication"))),
     }
 }
 
@@ -274,7 +270,7 @@ mod tests {
                 if reader.read_line(&mut line).unwrap_or(0) == 0 {
                     return;
                 }
-                let ack = match Request::decode(line.trim()).expect("decode") {
+                let ack = match Request::decode_tagged(line.trim()).expect("decode").0 {
                     Request::ReplSnapshot { seq, .. } => {
                         let _ = notify.send(("snapshot", seq));
                         seq

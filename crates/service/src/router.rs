@@ -67,7 +67,7 @@ use crate::client::{Client, ClientError, Jitter, RetryPolicy};
 use crate::net::reactor::{LineHandler, LineOutcome, Reactor, ReactorConfig};
 use crate::net::ShutdownGate;
 use crate::pool::{Admission, WorkerPool};
-use crate::protocol::{ErrorKind, Request, Response, ServiceError};
+use crate::protocol::{ErrorKind, Request, Response, Role, ServiceError};
 use crate::server::ServeConfig;
 
 /// Virtual nodes per backend pair on the ring: enough to spread sessions
@@ -315,10 +315,7 @@ fn promote(addr: &str, gate: &ShutdownGate) -> Result<(u64, u64), ClientError> {
     let policy = RetryPolicy::with_budget_ms(PROMOTE_BUDGET_MS);
     match client.request_with_retry_until(&Request::Promote, None, &policy, gate)? {
         Response::Promoted { sessions, epoch } => Ok((sessions, epoch)),
-        other => Err(ClientError::Protocol(ServiceError::protocol(format!(
-            "unexpected promote reply: {}",
-            other.encode()
-        )))),
+        other => Err(ClientError::Protocol(other.into_error("promote"))),
     }
 }
 
@@ -551,7 +548,7 @@ impl LineHandler for RouterDispatch {
 
 /// What a health ping learned about a node.
 struct PongInfo {
-    role: Option<String>,
+    role: Option<Role>,
     epoch: u64,
     peer: Option<String>,
 }
@@ -617,7 +614,7 @@ fn maybe_rearm(pair: &Pair, active: &str, active_pong: &PongInfo, gate: &Shutdow
         return;
     }
     let Ok(pong) = ping(&candidate, gate) else { return };
-    let demoted = matches!(pong.role.as_deref(), Some("standby" | "fenced"));
+    let demoted = matches!(pong.role, Some(Role::Standby | Role::Fenced));
     if !demoted || pong.epoch != active_pong.epoch {
         return;
     }
@@ -641,10 +638,7 @@ fn ping(addr: &str, gate: &ShutdownGate) -> Result<PongInfo, ClientError> {
     };
     match client.request_with_retry_until(&Request::Ping, None, &policy, gate)? {
         Response::Pong { role, epoch, peer, .. } => Ok(PongInfo { role, epoch, peer }),
-        other => Err(ClientError::Protocol(ServiceError::protocol(format!(
-            "unexpected ping reply: {}",
-            other.encode()
-        )))),
+        other => Err(ClientError::Protocol(other.into_error("ping"))),
     }
 }
 
@@ -832,8 +826,7 @@ fn list_sessions(addr: &str) -> Result<Vec<String>, ServiceError> {
     let mut client = dial(addr)?;
     match client.request(&Request::Stats { session: None }).map_err(migration_err)? {
         Response::Stats { sessions, .. } => Ok(sessions),
-        Response::Error(e) => Err(e),
-        other => Err(unexpected_reply("stats", &other)),
+        other => Err(other.into_error("stats")),
     }
 }
 
@@ -845,19 +838,16 @@ fn move_session(session: &str, from: &str, to: &str) -> Result<(), ServiceError>
         .map_err(migration_err)?
     {
         Response::Exported { records, .. } => records,
-        Response::Error(e) => return Err(e),
-        other => return Err(unexpected_reply("export", &other)),
+        other => return Err(other.into_error("export")),
     };
     let mut dst = dial(to)?;
     match dst.request(&Request::Import { records }).map_err(migration_err)? {
         Response::Imported { .. } => {}
-        Response::Error(e) => return Err(e),
-        other => return Err(unexpected_reply("import", &other)),
+        other => return Err(other.into_error("import")),
     }
     match src.request(&Request::Close { session: session.to_owned() }).map_err(migration_err)? {
         Response::Closed { .. } => Ok(()),
-        Response::Error(e) => Err(e),
-        other => Err(unexpected_reply("close", &other)),
+        other => Err(other.into_error("close")),
     }
 }
 
@@ -867,13 +857,6 @@ fn dial(addr: &str) -> Result<Client, ServiceError> {
 
 fn migration_err(e: ClientError) -> ServiceError {
     ServiceError::new(ErrorKind::Internal, format!("session migration failed: {e}"))
-}
-
-fn unexpected_reply(what: &str, got: &Response) -> ServiceError {
-    ServiceError::protocol(format!(
-        "unexpected {what} reply during migration: {}",
-        got.encode()
-    ))
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ use chop_core::prelude::Heuristic;
 use chop_service::chaos::{ChaosProxy, ConnFault};
 use chop_service::{
     build_session, BackendSpec, Client, ClientError, ErrorKind, ExploreParams, HashRing,
-    OpenParams, Replicator, Request, Response, RetryPolicy, Router, RouterConfig, ServeConfig,
-    Server, ServiceError, SessionManager,
+    OpenParams, Replicator, Request, Response, RetryPolicy, Role, Router, RouterConfig,
+    ServeConfig, Server, ServiceError, SessionManager,
 };
 
 const SPEC: &str = "a = input 16\nb = input 16\np = mul a b\ns = add p a\ny = output s\n";
@@ -718,12 +718,12 @@ fn reserve_addr() -> String {
 /// Polls `addr` until its pong reports one of `roles` (role transitions
 /// are asynchronous — a restarted stale primary demotes only once its
 /// own replication stream gets fenced).
-fn wait_for_role(addr: &str, roles: &[&str]) {
+fn wait_for_role(addr: &str, roles: &[Role]) {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         if let Ok(mut probe) = Client::connect(addr) {
             if let Ok(Response::Pong { role: Some(role), .. }) = probe.request(&Request::Ping) {
-                if roles.contains(&role.as_str()) {
+                if roles.contains(&role) {
                     return;
                 }
             }
@@ -797,7 +797,7 @@ fn killed_primary_rejoins_demoted_and_fails_back_byte_identical() {
         // epoch-0 primary; the fenced refusal of its first snapshot
         // demotes it, and B's stream (parked until promotion) resyncs it.
         let (_a_kill, a_thread) = start_at(&a_addr, config(&a_dir, &b_addr, false));
-        wait_for_role(&a_addr, &["fenced", "standby"]);
+        wait_for_role(&a_addr, &[Role::Fenced, Role::Standby]);
         wait_for_session(&a_addr, "post");
 
         // Convergence proof: both nodes explore both sessions to the
@@ -872,7 +872,7 @@ fn restarted_stale_primary_refuses_mutations_with_a_typed_fenced_redirect() {
     );
 
     let (_a_kill, a_thread) = start_at(&a_addr, config(&a_dir, &b_addr, false));
-    wait_for_role(&a_addr, &["fenced"]);
+    wait_for_role(&a_addr, &[Role::Fenced]);
 
     // The raw request path (no redirect following — what the router and
     // the replicator see): a typed `fenced` refusal naming the primary.
@@ -891,15 +891,15 @@ fn restarted_stale_primary_refuses_mutations_with_a_typed_fenced_redirect() {
     );
 
     // No dual-primary window: the pair holds exactly one unfenced primary.
-    let role_of = |addr: &str| -> String {
+    let role_of = |addr: &str| -> Role {
         let mut probe = Client::connect(addr).expect("probe");
         match probe.request(&Request::Ping).expect("ping") {
             Response::Pong { role: Some(role), .. } => role,
             other => panic!("expected a role-bearing pong, got {other:?}"),
         }
     };
-    assert_eq!(role_of(&a_addr), "fenced");
-    assert_eq!(role_of(&b_addr), "primary");
+    assert_eq!(role_of(&a_addr), Role::Fenced);
+    assert_eq!(role_of(&b_addr), Role::Primary);
 
     // Following the redirect applies the mutation on the real primary.
     let followed = direct
