@@ -1,38 +1,19 @@
 //! Cost of one system-integration evaluation (bandwidths, urgency
 //! scheduling, buffers, transfer-module PLAs, feasibility analysis) — the
 //! inner loop of both heuristics.
+//!
+//! This times the public `IntegrationContext::evaluate`, which builds a
+//! fresh scratch per call and so schedules every time. The search path
+//! scores through per-worker scratch that remembers each selection's
+//! timing; `search_heuristics`' `warm_explore` group times that path.
 
-use chop_bad::{ArchitectureStyle, ClockConfig, PredictorParams};
+use chop_bad::PredictorParams;
+use chop_bench::layered_k8;
 use chop_core::prelude::experiments::{experiment1_session, Exp1Config};
-use chop_core::prelude::{
-    Constraints, FeasibilityCriteria, IntegrationContext, PartitioningBuilder, Session,
-};
-use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
-use chop_library::standard::{table1_library, table2_packages};
-use chop_library::ChipSet;
-use chop_stat::units::{Cycles, Nanos};
+use chop_core::prelude::{FeasibilityCriteria, IntegrationContext};
+use chop_stat::units::Cycles;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-
-/// The shape a warm service explore integrates: a 180-operation
-/// single-cycle layered spec cut into 8 partitions under 1 ms constraints.
-fn layered_k8() -> Session {
-    let dfg = random_layered(
-        1991,
-        RandomDfgParams { layers: 12, width: 15, inputs: 4, mul_percent: 40, bits: 16 },
-    );
-    let chips = ChipSet::uniform(table2_packages()[1].clone(), 8);
-    let partitioning =
-        PartitioningBuilder::new(dfg, chips).split_horizontal(8).build().expect("valid");
-    Session::new(
-        partitioning,
-        table1_library(),
-        ClockConfig::new(Nanos::new(300.0), 10, 1).expect("valid clocks"),
-        ArchitectureStyle::single_cycle(),
-        PredictorParams::default(),
-        Constraints::new(Nanos::new(1e6), Nanos::new(1e6)),
-    )
-}
 
 fn bench_evaluate(c: &mut Criterion) {
     let mut group = c.benchmark_group("integration_eval");

@@ -1,6 +1,8 @@
 //! The CPU-time columns of Tables 4 and 6: run time of heuristics E and I
-//! per experiment and partition count.
+//! per experiment and partition count, and a warm heuristic-I explore of
+//! the 8-partition shape a service explore runs.
 
+use chop_bench::layered_k8;
 use chop_core::prelude::experiments::{
     experiment1_session, experiment2_session, Exp1Config, Exp2Config,
 };
@@ -38,5 +40,17 @@ fn bench_exp2(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_exp1, bench_exp2);
+/// Re-explores a session whose prediction cache is already full, so the
+/// time is the search and its integrations alone.
+fn bench_warm_explore(c: &mut Criterion) {
+    let mut group = c.benchmark_group("warm_explore");
+    let session = layered_k8();
+    session.explore(Heuristic::Iterative).expect("explore");
+    group.bench_function("layered180_k8_I", |b| {
+        b.iter(|| black_box(session.explore(Heuristic::Iterative).expect("explore")));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_exp1, bench_exp2, bench_warm_explore);
 criterion_main!(benches);

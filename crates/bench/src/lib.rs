@@ -21,10 +21,42 @@
 
 use std::time::Duration;
 
+use chop_bad::{ArchitectureStyle, ClockConfig, PredictorParams};
 use chop_core::prelude::experiments::{
     experiment1_session, experiment2_session, Exp1Config, Exp2Config,
 };
-use chop_core::prelude::{DesignPoint, Heuristic, SearchOutcome, Session};
+use chop_core::prelude::{
+    Constraints, DesignPoint, Heuristic, PartitioningBuilder, SearchOutcome, Session,
+};
+use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
+use chop_library::standard::{table1_library, table2_packages};
+use chop_library::ChipSet;
+use chop_stat::units::Nanos;
+
+/// The shape a warm service explore integrates: a 180-operation
+/// single-cycle layered spec cut into 8 partitions under 1 ms constraints.
+///
+/// # Panics
+///
+/// Never: the spec and its partitioning are known-good.
+#[must_use]
+pub fn layered_k8() -> Session {
+    let dfg = random_layered(
+        1991,
+        RandomDfgParams { layers: 12, width: 15, inputs: 4, mul_percent: 40, bits: 16 },
+    );
+    let chips = ChipSet::uniform(table2_packages()[1].clone(), 8);
+    let partitioning =
+        PartitioningBuilder::new(dfg, chips).split_horizontal(8).build().expect("valid");
+    Session::new(
+        partitioning,
+        table1_library(),
+        ClockConfig::new(Nanos::new(300.0), 10, 1).expect("valid clocks"),
+        ArchitectureStyle::single_cycle(),
+        PredictorParams::default(),
+        Constraints::new(Nanos::new(1e6), Nanos::new(1e6)),
+    )
+}
 
 /// One row block of Table 4/6: configuration, heuristic and its outcome.
 #[derive(Debug)]

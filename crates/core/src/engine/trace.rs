@@ -42,7 +42,10 @@ pub struct ExploreTrace {
     pub cache_hits: u64,
     /// Prediction-cache misses.
     pub cache_misses: u64,
-    /// `IntegrationContext::evaluate` calls.
+    /// System integrations actually run. Heuristic E runs one per trial
+    /// that passes its quick area check; heuristic I reuses the estimate
+    /// of the serialization a round picks for the next round's first
+    /// trial, so for I this falls below `trials`.
     pub evaluations: u64,
     /// Combinations rejected by the cheap level-2 area pre-check.
     pub quick_rejects: u64,

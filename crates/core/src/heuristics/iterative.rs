@@ -20,7 +20,7 @@ use crate::feasibility::Violation;
 use crate::heuristics::{
     finalize, Candidate, DesignPoint, FeasibleImplementation, HeuristicResult,
 };
-use crate::integration::IntegrationContext;
+use crate::integration::{IntegrationContext, SystemPrediction};
 
 /// Runs the iterative heuristic.
 ///
@@ -29,7 +29,10 @@ use crate::integration::IntegrationContext;
 /// as Fig. 5 requires, with the original index riding along so selections
 /// are reported as indices into the engine's (unsorted) prediction lists.
 /// Every system-integration estimate counts as one trial. With `keep_all`
-/// on, every estimate is recorded as a design point.
+/// on, every estimate is recorded as a design point. A round's first
+/// estimate is the serialization the previous round picked, so it reuses
+/// that round's estimate instead of integrating it again: it still counts
+/// as a trial, not as an evaluation.
 ///
 /// Each round's tentative serializations are handed to the `score` batch
 /// evaluator in one canonical-order batch (the engine parallelizes this);
@@ -85,6 +88,9 @@ pub(crate) fn run(
         }
 
         let budget: usize = sorted.iter().map(Vec::len).sum::<usize>() + 1;
+        // The estimate of the serialization the previous round picked:
+        // exactly what scoring `w` again would return.
+        let mut carried: Option<SystemPrediction> = None;
         for _round in 0..budget {
             if let Some(status) = timer.check(result.trials, result.retained_points()) {
                 result.completion = status;
@@ -93,12 +99,10 @@ pub(crate) fn run(
             }
             let current = candidate(&w, &sorted, l);
             result.trials += 1;
-            let system = match score
-                .score(std::slice::from_ref(&current))
-                .into_iter()
-                .next()
-                .flatten()
-            {
+            let scored = carried.take().map(Ok).or_else(|| {
+                score.score(std::slice::from_ref(&current)).into_iter().next().flatten()
+            });
+            let system = match scored {
                 Some(Ok(system)) => system,
                 Some(Err(e)) => return Err(e),
                 None => {
@@ -154,7 +158,7 @@ pub(crate) fn run(
                 })
                 .collect();
             let mut slots = score.score(&tentative).into_iter();
-            let mut best: Option<(usize, f64)> = None;
+            let mut best: Option<(usize, SystemPrediction)> = None;
             for &p in &q {
                 if let Some(status) = timer.check(result.trials, result.retained_points()) {
                     result.completion = status;
@@ -175,14 +179,15 @@ pub(crate) fn run(
                     result.points.push(DesignPoint::from_system(&trial_system));
                 }
                 let delay = trial_system.delay_ns.likely();
-                if best.is_none_or(|(_, d)| delay < d) {
-                    best = Some((p, delay));
+                if best.as_ref().is_none_or(|(_, b)| delay < b.delay_ns.likely()) {
+                    best = Some((p, trial_system));
                 }
             }
             // `q` is non-empty, so `best` is always set here; the guard
             // (rather than an `expect`) keeps the lib path panic-free.
-            let Some((chosen, _)) = best else { break };
+            let Some((chosen, system)) = best else { break };
             w[chosen] += 1;
+            carried = Some(system);
         }
     }
     finalize(&mut result, trace);
@@ -326,6 +331,39 @@ mod tests {
             assert!(f.system.verdict.feasible);
             assert_eq!(f.selection.len(), 2);
         }
+    }
+
+    /// A round's first trial reuses the estimate of the serialization the
+    /// previous round picked. On the 8-partition layered shape a warm
+    /// service explore runs, I integrates fewer candidates than it counts
+    /// trials, and its trial counts stay those of integrating every one.
+    #[test]
+    fn carried_estimates_save_integrations_not_trials() {
+        use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
+
+        let dfg = random_layered(
+            1991,
+            RandomDfgParams { layers: 12, width: 15, inputs: 4, mul_percent: 40, bits: 16 },
+        );
+        let chips = ChipSet::uniform(table2_packages()[1].clone(), 8);
+        let p = PartitioningBuilder::new(dfg, chips).split_horizontal(8).build().unwrap();
+        let session = crate::Session::new(
+            p,
+            table1_library(),
+            ClockConfig::new(Nanos::new(300.0), 10, 1).unwrap(),
+            ArchitectureStyle::single_cycle(),
+            PredictorParams::default(),
+            Constraints::new(Nanos::new(1e6), Nanos::new(1e6)),
+        );
+        let outcome = session.explore(crate::Heuristic::Iterative).unwrap();
+        // The counts of integrating every estimate afresh.
+        assert_eq!((outcome.trials, outcome.feasible_trials), (457, 7));
+        assert!(
+            outcome.trace.evaluations < outcome.trials as u64,
+            "{} evaluations for {} trials",
+            outcome.trace.evaluations,
+            outcome.trials
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! delay characteristics of the overall system" (paper §2.5).
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chop_bad::area::PlaSpec;
@@ -183,13 +184,105 @@ impl DelayGraph {
 }
 
 /// Working buffers one evaluation reuses from the last: the task
-/// durations and the urgency scheduler's state. The engine keeps one per
-/// scoring worker for a whole run, so scoring allocates nothing for the
-/// schedule.
+/// durations, the urgency scheduler's state and the [`TimingMemo`]. The
+/// engine keeps one per scoring worker for a whole run, so scoring
+/// allocates nothing for the schedule and schedules each latency vector
+/// about once.
 #[derive(Debug, Default)]
 pub(crate) struct EvalScratch {
     durations: Vec<u64>,
     tasks: TaskScratch,
+    memo: TimingMemo,
+}
+
+/// log2 of [`TIMING_MEMO_SETS`].
+const TIMING_MEMO_SET_BITS: u32 = 7;
+/// Sets of the [`TimingMemo`]; each holds two entries.
+const TIMING_MEMO_SETS: usize = 1 << TIMING_MEMO_SET_BITS;
+/// Marks a set's unused way.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The `l`-independent timing of the selections one scratch scheduled: the
+/// schedule's makespan and the wait before each transfer depend only on the
+/// plan and the k selected partition latencies, never on the interval.
+///
+/// A 2-way set-associative table of at most `2 × TIMING_MEMO_SETS` = 256
+/// entries, so its memory is bounded by the partition and transfer counts
+/// however many candidates a search scores. A set keeps its most recently
+/// used entry first and a miss replaces its other one. A hit compares the
+/// whole latency vector, not only its set. The entries are valid for one
+/// plan only: the memo records that plan's id and empties itself when a
+/// scratch is used with another plan.
+#[derive(Debug, Default)]
+struct TimingMemo {
+    /// Id of the [`IntegrationPlan`] the entries were scheduled on (0: none).
+    plan: u64,
+    /// Per set, the indices of its entries, most recently used first.
+    sets: Vec<[u32; 2]>,
+    /// Entry `i`'s k partition latencies: `latencies[i * k..][..k]`.
+    latencies: Vec<u64>,
+    /// Entry `i`'s makespan, then the wait before each transfer:
+    /// `timings[i * (transfers + 1)..][..transfers + 1]`.
+    timings: Vec<u64>,
+}
+
+/// The set a latency vector maps to (an FxHash fold, top bits).
+fn timing_set(latencies: &[u64]) -> usize {
+    let hash = latencies
+        .iter()
+        .fold(0u64, |h, &x| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95));
+    (hash >> (64 - TIMING_MEMO_SET_BITS)) as usize
+}
+
+impl EvalScratch {
+    /// The timing of the selection whose k partition latencies fill
+    /// `self.durations[..k]` (the rest holds the plan's transfer
+    /// durations): its makespan and the wait before each transfer. It is
+    /// scheduled only when the memo does not hold it yet.
+    fn timing(&mut self, plan: &IntegrationPlan, tasks: &TaskPlan, k: usize) -> (u64, &[u64]) {
+        let Self { durations, tasks: task_scratch, memo } = self;
+        if memo.plan != plan.id {
+            memo.plan = plan.id;
+            memo.sets.clear();
+            memo.sets.resize(TIMING_MEMO_SETS, [NO_ENTRY; 2]);
+            memo.latencies.clear();
+            memo.timings.clear();
+        }
+        let row = plan.transfers.len() + 1;
+        let key = &durations[..k];
+        let set = &mut memo.sets[timing_set(key)];
+        let cached = set
+            .iter()
+            .position(|&e| e != NO_ENTRY && memo.latencies[e as usize * k..][..k] == *key);
+        let entry = match cached {
+            Some(way) => {
+                set.swap(0, way);
+                set[0] as usize
+            }
+            None => {
+                let schedule =
+                    tasks.schedule_into(SchedulePolicy::Urgency, durations, task_scratch);
+                let entry = if set[1] == NO_ENTRY {
+                    let fresh = memo.timings.len() / row;
+                    memo.latencies.resize((fresh + 1) * k, 0);
+                    memo.timings.resize((fresh + 1) * row, 0);
+                    fresh
+                } else {
+                    set[1] as usize
+                };
+                *set = [entry as u32, set[0]];
+                memo.latencies[entry * k..][..k].copy_from_slice(key);
+                let timing = &mut memo.timings[entry * row..][..row];
+                timing[0] = schedule.makespan();
+                for (wait, t) in timing[1..].iter_mut().zip(&plan.transfers) {
+                    *wait = tasks.wait_before(schedule, t.task);
+                }
+                entry
+            }
+        };
+        let timing = &memo.timings[entry * row..][..row];
+        (timing[0], &timing[1..])
+    }
 }
 
 /// How one transfer runs under the final pin budgets.
@@ -209,11 +302,17 @@ struct TransferTiming {
     task: TaskId,
 }
 
+/// Source of [`IntegrationPlan`] ids; 0 is never handed out.
+static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Everything integration derives from the partitioning and the final pin
 /// budgets, computed once per context so an evaluation only fills in the
 /// selected designs.
 #[derive(Debug)]
 struct IntegrationPlan {
+    /// Process-unique id, so a [`TimingMemo`] serves only the plan it was
+    /// filled from.
+    id: u64,
     /// Per-transfer timing, in transfer order.
     transfers: Vec<TransferTiming>,
     /// Per-chip pin time `Σ X·w` of the transfers using its pins.
@@ -343,6 +442,7 @@ impl IntegrationPlan {
             .collect();
         let tasks = graph.compile(&capacities);
         Self {
+            id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
             transfers: timings,
             pin_time,
             memory_busy,
@@ -674,17 +774,15 @@ impl<'a> IntegrationContext<'a> {
             return Ok(self.infeasible_stub(selection, ii, violations));
         }
 
-        // Urgency-schedule the PU and transfer tasks with the selected
-        // partition latencies.
+        // The timing of the PU and transfer tasks urgency-scheduled with
+        // the selected partition latencies; independent of `l`.
         let tasks = plan.tasks.as_ref().map_err(|e| ChopError::Integration(e.clone()))?;
-        let durations = &mut scratch.durations;
-        durations.clone_from(&plan.durations);
-        for (p, d) in durations[..k].iter_mut().enumerate() {
+        scratch.durations.clone_from(&plan.durations);
+        for (p, d) in scratch.durations[..k].iter_mut().enumerate() {
             *d = selection.design(p).latency().value();
         }
-        let schedule =
-            tasks.schedule_into(SchedulePolicy::Urgency, durations, &mut scratch.tasks);
-        let delay_cycles = Cycles::new(schedule.makespan());
+        let (makespan, waits) = scratch.timing(plan, tasks, k);
+        let delay_cycles = Cycles::new(makespan);
 
         // Adjusted clock: main period + per-chip integration overhead
         // (pin-sharing multiplexer tree and, when the datapath runs on the
@@ -709,9 +807,9 @@ impl<'a> IntegrationContext<'a> {
 
         // Transfer modules: buffer B = D·(⌈W/l⌉ + X/l) and a PLA per module.
         let mut transfer_modules = Vec::with_capacity(self.transfers.len());
-        for (t, timing) in self.transfers.iter().zip(&plan.transfers) {
+        for ((t, timing), &wait) in self.transfers.iter().zip(&plan.transfers).zip(waits) {
             let (x, w) = (timing.duration, timing.pins);
-            let wait = Cycles::new(tasks.wait_before(schedule, timing.task));
+            let wait = Cycles::new(wait);
             let b_bits = if w == 0 {
                 0
             } else {
@@ -1198,6 +1296,142 @@ mod tests {
         );
         assert!(s.transfer_modules.is_empty(), "no schedule from the pre-testability budgets");
         assert_eq!(scanned.deterministic_ii_floor(), u64::MAX);
+    }
+
+    /// Two partitions streaming through an on-chip RAM on chip 1 and an
+    /// off-the-shelf SRAM, so memory ports are scheduled resources.
+    fn memory_partitioning() -> Partitioning {
+        use chop_dfg::{DfgBuilder, MemoryRef, Operation};
+        use chop_library::standard::{example_off_shelf_ram, example_on_chip_ram};
+        use chop_library::ChipId;
+
+        let mut b = DfgBuilder::new();
+        let w = Bits::new(16);
+        let addr = b.node(Operation::Input, w);
+        let mut accum = None;
+        for i in 0..6 {
+            let r = b.node(Operation::MemRead(MemoryRef::new(i % 2)), w);
+            b.connect(addr, r).unwrap();
+            let x = match accum {
+                Some(prev) => {
+                    let a = b.node(Operation::Add, w);
+                    b.connect(prev, a).unwrap();
+                    b.connect(r, a).unwrap();
+                    a
+                }
+                None => r,
+            };
+            let wr = b.node(Operation::MemWrite(MemoryRef::new(u32::from(i % 3 == 0))), w);
+            b.connect(addr, wr).unwrap();
+            b.connect(x, wr).unwrap();
+            accum = Some(x);
+        }
+        let o = b.node(Operation::Output, w);
+        b.connect(accum.unwrap(), o).unwrap();
+        let chips = ChipSet::uniform(table2_packages()[1].clone(), 2);
+        PartitioningBuilder::new(b.build().unwrap(), chips)
+            .split_horizontal(2)
+            .with_memory(example_on_chip_ram(), MemoryAssignment::OnChip(ChipId::new(1)))
+            .with_memory(example_off_shelf_ram(), MemoryAssignment::External)
+            .build()
+            .unwrap()
+    }
+
+    /// Scores random (selection, interval) sequences through one reused
+    /// scratch, and checks every result against a fresh `evaluate`. The
+    /// sequences revisit each latency vector at other intervals, hold more
+    /// distinct latency vectors than the timing memo has entries, and
+    /// alternate on the same scratch between a context and its
+    /// testability variant, whose transfers take longer.
+    #[test]
+    fn reused_scratch_matches_fresh_evaluations() {
+        use chop_dfg::benchmarks::{random_layered, RandomDfgParams};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let layered = |k: usize| {
+            let dfg = random_layered(
+                1991 + k as u64,
+                RandomDfgParams { layers: 6, width: 6, inputs: 4, mul_percent: 40, bits: 16 },
+            );
+            let chips = ChipSet::uniform(table2_packages()[1].clone(), k);
+            PartitioningBuilder::new(dfg, chips).split_horizontal(k).build().unwrap()
+        };
+        let mut cases: Vec<(Partitioning, bool)> =
+            (2..=8).map(|k| (layered(k), false)).collect();
+        cases.push((layered(4), true));
+        cases.push((memory_partitioning(), true));
+
+        let lib = table1_library();
+        let mut overflowed = false;
+        for (case, (p, multi_cycle)) in cases.iter().enumerate() {
+            let (clocks, style) = if *multi_cycle {
+                (
+                    ClockConfig::new(Nanos::new(300.0), 1, 1).unwrap(),
+                    ArchitectureStyle::multi_cycle(),
+                )
+            } else {
+                (
+                    ClockConfig::new(Nanos::new(300.0), 10, 1).unwrap(),
+                    ArchitectureStyle::single_cycle(),
+                )
+            };
+            let predictor =
+                Predictor::new(lib.clone(), clocks, style, PredictorParams::default());
+            let lists: Vec<Arc<[PredictedDesign]>> = p
+                .partition_ids()
+                .map(|pid| predictor.predict(&p.partition_dfg(pid)).unwrap().into())
+                .collect();
+            let plain = ctx(p, &lib, clocks);
+            // Scan chains that leave each chip 8 data pins, so transfers
+            // are slower under the scanned plan than under the plain one.
+            let scan_pins = plain.budgets().iter().map(|b| b.data).min().unwrap() - 8;
+            let scanned = ctx(p, &lib, clocks).with_testability(TestabilityOverhead {
+                scan_pins,
+                ..TestabilityOverhead::partial_scan()
+            });
+            assert!(scanned.min_transfer_ii() > plain.min_transfer_ii());
+
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let pool: Vec<Vec<u32>> = (0..400)
+                .map(|_| lists.iter().map(|l| rng.gen_range(0..l.len() as u32)).collect())
+                .collect();
+            let distinct: std::collections::BTreeSet<Vec<u64>> = pool
+                .iter()
+                .map(|sel| {
+                    sel.iter()
+                        .zip(&lists)
+                        .map(|(&i, l)| l[i as usize].latency().value())
+                        .collect()
+                })
+                .collect();
+            overflowed |= distinct.len() > 2 * TIMING_MEMO_SETS;
+
+            let mut scratch = EvalScratch::default();
+            for _ in 0..1_500 {
+                let indices = &pool[rng.gen_range(0..pool.len())];
+                let selection: Vec<&PredictedDesign> =
+                    indices.iter().zip(&lists).map(|(&i, l)| &l[i as usize]).collect();
+                let c = if rng.gen_bool(0.25) { &scanned } else { &plain };
+                let needed = selection
+                    .iter()
+                    .map(|d| d.initiation_interval().value())
+                    .fold(c.min_transfer_ii().value(), u64::max);
+                let ii = Cycles::new(match rng.gen_range(0..4u32) {
+                    0 => needed,
+                    1 => needed + rng.gen_range(1..50u64),
+                    2 => needed * 4,
+                    _ => 1,
+                });
+                let reused = c.evaluate_indexed(&lists, indices, ii, &mut scratch).unwrap();
+                assert_eq!(
+                    reused,
+                    c.evaluate(&selection, ii).unwrap(),
+                    "case {case}, {indices:?} at {ii:?}"
+                );
+            }
+        }
+        assert!(overflowed, "no case held more latency vectors than the memo");
     }
 
     /// Three partitions whose transfers form a cycle A → B → C → A although
