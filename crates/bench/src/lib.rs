@@ -16,8 +16,19 @@
 //! | `figure8` | Fig. 8 — design space of experiment 2, one partition |
 //! | `experiments` | all of the above, in order |
 //!
-//! The Criterion benches cover the run-time claims (the CPU-time columns
-//! and the pruning speedup) and the substrate hot paths.
+//! The Criterion benches (`cargo bench -p chop-bench --bench <target>
+//! [-- <filter>]`) cover the run-time claims and the substrate hot paths:
+//!
+//! | target | groups | times |
+//! |---|---|---|
+//! | `search_heuristics` | `exp1_search`, `exp2_search`, `warm_explore` | the CPU-time columns of Tables 4 and 6; a warm 8-partition explore |
+//! | `prune_ablation` | `prune_ablation`, `probabilistic_ablation` | the §3.1 pruning claim; paper vs point feasibility criteria |
+//! | `bad_predict` | `bad_predict` | one BAD prediction sweep |
+//! | `integration_eval` | `integration_eval` | one system-integration evaluation |
+//! | `substrate` | `list_schedule`, `urgency_schedule`, `workload_generation` | the scheduling and DFG substrates |
+//!
+//! End-to-end speed claims go through `perf_ledger`
+//! (`crates/bench/src/bin/perf_ledger/`), a package of its own.
 
 use std::time::Duration;
 

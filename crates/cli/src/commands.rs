@@ -35,7 +35,8 @@ USAGE:
   chop help                         this text
 
 OPTIONS (check / tasks):
-  --partitions, -k <N>     partitions via horizontal cut   [1]
+  --partitions, -k <N>     partitions via horizontal cut,  [1]
+                           at most 64 and at most one per node
   --chips <N>              chips in the set, at most one   [= partitions]
                            per node
   --package <64|84>        MOSIS package pins (Table 2)    [84]
@@ -124,6 +125,7 @@ CLIENT COMMANDS (chop client [--retry|--retry-ms N] <addrs> ...):
   ping                               liveness / protocol version
   open <name> <spec.cbs> [--partitions N] [--chips N] [--package 64|84]
                          [--perf ns] [--delay ns] [--single-cycle]
+                         (N at most 64, as for chop check)
   explore <name> [--heuristic e|i] [--deadline ms] [--max-trials N] [--jobs N]
   optimize <name> [--seed N] [--heuristic e|i] [--deadline ms] [--max-moves N]
                   [--kicks N] [--kick-moves N] [--jobs N] [--pin N]

@@ -59,18 +59,24 @@ impl fmt::Display for MemoryAssignment {
     }
 }
 
+/// The most partitions a horizontal cut may ask for. Building a
+/// partitioning costs time and memory in `nodes × partitions`, and a
+/// service builds it on the thread that serves every connection, so a
+/// request may not choose an unbounded count. The paper uses at most 3.
+pub const MAX_PARTITIONS: usize = 64;
+
 /// Error validating a [`Partitioning`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The chip set is empty.
     NoChips,
-    /// A horizontal cut asked for a partition count outside
-    /// `1..=nodes` for this specification.
+    /// A horizontal cut asked for a partition count outside `1..=max`,
+    /// where `max` is the node count capped at [`MAX_PARTITIONS`].
     PartitionCount {
         /// Partitions requested.
         requested: usize,
-        /// Nodes in the specification.
-        nodes: usize,
+        /// The largest count this specification admits.
+        max: usize,
     },
     /// The partition→chip assignment does not cover every partition.
     ChipAssignmentLength {
@@ -104,8 +110,8 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::NoChips => write!(f, "chip set is empty"),
-            SpecError::PartitionCount { requested, nodes } => {
-                write!(f, "partition count {requested} is outside 1..={nodes}")
+            SpecError::PartitionCount { requested, max } => {
+                write!(f, "partition count {requested} is outside 1..={max}")
             }
             SpecError::ChipAssignmentLength { partitions, assignments } => {
                 write!(f, "{assignments} chip assignments supplied for {partitions} partitions")
@@ -552,15 +558,15 @@ impl PartitioningBuilder {
 
     /// Splits the graph into `k` topological slices of roughly equal size —
     /// the "horizontal cut" partitioning of the paper's experiments. A `k`
-    /// of zero or above the node count makes [`build`](Self::build) return
-    /// [`SpecError::PartitionCount`].
+    /// of zero, above the node count or above [`MAX_PARTITIONS`] makes
+    /// [`build`](Self::build) return [`SpecError::PartitionCount`].
     #[must_use]
     pub fn split_horizontal(mut self, k: usize) -> Self {
-        let nodes = self.dfg.len();
-        self.grouping = Some(if (1..=nodes).contains(&k) {
+        let max = self.dfg.len().min(MAX_PARTITIONS);
+        self.grouping = Some(if (1..=max).contains(&k) {
             Ok(Grouping::horizontal(&self.dfg, k))
         } else {
-            Err(SpecError::PartitionCount { requested: k, nodes })
+            Err(SpecError::PartitionCount { requested: k, max })
         });
         self
     }
@@ -593,8 +599,8 @@ impl PartitioningBuilder {
     /// # Errors
     ///
     /// Returns a [`SpecError`] or [`GroupingError`] (via [`BuildError`])
-    /// describing the first problem found: a partition count outside the
-    /// node range, empty chip set, bad chip ids, undeclared memories,
+    /// describing the first problem found: a partition count outside
+    /// `1..=min(nodes, MAX_PARTITIONS)`, empty chip set, bad chip ids, undeclared memories,
     /// placement mismatches or mutual data dependency between partitions.
     pub fn build(self) -> Result<Partitioning, BuildError> {
         let grouping = match self.grouping {
@@ -736,7 +742,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(
                 err,
-                BuildError::Spec(SpecError::PartitionCount { requested: k, nodes })
+                BuildError::Spec(SpecError::PartitionCount { requested: k, max: nodes })
             );
         }
     }

@@ -1536,16 +1536,14 @@ mod tests {
         let params = OpenParams { spec: spec.into(), partitions: 3, ..OpenParams::default() };
         send(&mgr, &open("inc", params)).unwrap();
         let before = mgr.explore("inc", &ExploreParams::default()).unwrap();
-        assert_eq!(before.cache_hits, 0);
-        send(&mgr, &repartition("inc", 3, 0)).unwrap();
+        assert_eq!((before.predictor_calls, before.cache_hits), (3, 0));
+        // `s` moves from partition 0 to 1; partition 2 is untouched.
+        send(&mgr, &repartition("inc", 3, 1)).unwrap();
         let after = mgr.explore("inc", &ExploreParams::default()).unwrap();
-        assert!(
-            after.cache_hits >= 1,
-            "untouched partitions must be served from the cache, got {after:?}"
-        );
-        assert!(
-            after.predictor_calls < before.predictor_calls,
-            "only the touched partitions may be re-predicted"
+        assert_eq!(
+            (after.predictor_calls, after.cache_hits),
+            (2, 1),
+            "only the two touched partitions may be re-predicted, got {after:?}"
         );
     }
 
@@ -1592,6 +1590,11 @@ mod tests {
         let bad = OpenParams { spec: "a = frob 16\n".into(), ..OpenParams::default() };
         assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
         let bad = OpenParams { partitions: 99, ..open_params(99) };
+        assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
+        // Above MAX_PARTITIONS even where the spec has a node for each.
+        let chain: String = (1..=70).map(|i| format!("n{i} = add n{} n0\n", i - 1)).collect();
+        let spec = format!("n0 = input 16\n{chain}y = output n70\n");
+        let bad = OpenParams { spec, ..open_params(65) };
         assert_eq!(send(&mgr, &open("x", bad)).unwrap_err().kind, ErrorKind::Spec);
         // Hostile counts are refused before any chip set is allocated.
         let bad = open_params(u32::MAX);

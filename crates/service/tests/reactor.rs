@@ -255,6 +255,94 @@ fn non_reading_client_is_backpressured_not_buffered_without_bound() {
     server.join().expect("server thread");
 }
 
+/// Sends `line` on a fresh connection while a second connection pings
+/// in a loop, and returns the first connection's reply with the slowest
+/// ping round trip seen until that reply arrived.
+#[cfg(not(debug_assertions))]
+fn worst_ping_behind(addr: std::net::SocketAddr, line: Vec<u8>) -> (Response, Duration) {
+    let mut stream = TcpStream::connect(addr).expect("pinger connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(&encode_line(&Request::Ping)).expect("first ping");
+    assert!(matches!(read_response(&mut reader), Response::Pong { .. }));
+
+    let done = Arc::new(AtomicBool::new(false));
+    let big = {
+        let done = Arc::clone(&done);
+        thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("big connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            stream.write_all(&line).expect("send the big line");
+            let reply = read_response(&mut reader);
+            done.store(true, Ordering::SeqCst);
+            reply
+        })
+    };
+    let mut worst = Duration::ZERO;
+    while !done.load(Ordering::SeqCst) {
+        let started = Instant::now();
+        stream.write_all(&encode_line(&Request::Ping)).expect("ping");
+        assert!(matches!(read_response(&mut reader), Response::Pong { .. }));
+        worst = worst.max(started.elapsed());
+    }
+    (big.join().expect("big-line client"), worst)
+}
+
+/// A request line of maximum size holds the reactor thread, which reads
+/// and answers every connection, for time linear in its length and no
+/// more. Case 1 is a ping padded to just under `MAX_LINE_BYTES`: its
+/// decode is the whole cost. Case 2 is an `open` whose chain spec fills
+/// the line at `MAX_PARTITIONS`: the manager answers `open` on the
+/// reactor thread, so parsing the spec and building its partitioning is
+/// work left inline, and the partition limit is what bounds it by the
+/// line length. Release-only: each bound is about five times the stall
+/// measured on an optimised build on 2 vCPUs (12–19 ms behind the ping,
+/// 0.19–0.23 s behind the `open` of a 169,710-node chain).
+#[cfg(not(debug_assertions))]
+#[test]
+fn max_size_line_does_not_stall_other_connections() {
+    let (addr, server) =
+        start_server(ServeConfig { workers: 1, jobs: test_jobs(), ..ServeConfig::default() });
+
+    let envelope = Request::Ping.encode();
+    let head = envelope.strip_suffix('}').expect("a JSON object");
+    let pad = "x".repeat(MAX_LINE_BYTES - envelope.len() - 64);
+    let ping = format!(r#"{head},"pad":"{pad}"}}"#) + "\n";
+    assert!(ping.len() < MAX_LINE_BYTES && ping.len() > MAX_LINE_BYTES - 64);
+    let ping = ping.into_bytes();
+    let (reply, worst) = worst_ping_behind(addr, ping);
+    assert!(matches!(reply, Response::Pong { .. }), "padded ping got {reply:?}");
+    assert!(
+        worst < Duration::from_millis(100),
+        "a ping stalled {worst:?} behind a padded ping"
+    );
+
+    // Each chain line costs one byte more on the wire than in the spec:
+    // its newline is escaped.
+    let mut spec = String::from("n0 = input 16\n");
+    let mut nodes = 1;
+    while spec.len() + nodes < MAX_LINE_BYTES - 4096 {
+        spec.push_str(&format!("n{nodes} = add n{} n0\n", nodes - 1));
+        nodes += 1;
+    }
+    spec.push_str(&format!("y = output n{}\n", nodes - 1));
+    let partitions = u32::try_from(chop_core::spec::MAX_PARTITIONS).expect("small");
+    let open = encode_line(&Request::Open {
+        session: "max".into(),
+        params: open_params(&spec, partitions),
+    });
+    assert!(
+        open.len() < MAX_LINE_BYTES && open.len() > MAX_LINE_BYTES - 8192,
+        "{}",
+        open.len()
+    );
+    let (reply, worst) = worst_ping_behind(addr, open);
+    assert!(matches!(reply, Response::Opened { .. }), "maximum open got {reply:?}");
+    assert!(worst < Duration::from_secs(1), "a ping stalled {worst:?} behind a maximum open");
+
+    shutdown_via_fresh_conn(addr);
+    server.join().expect("server thread");
+}
+
 #[test]
 fn pipelined_mix_of_inline_and_dispatched_requests_answers_in_order() {
     let (addr, server) =
@@ -297,10 +385,9 @@ fn hundreds_of_concurrent_connections_are_all_served() {
         start_server(ServeConfig { workers: 1, jobs: test_jobs(), ..ServeConfig::default() });
     let (router, router_thread) = start_router(backend);
 
-    // 200 connections held open at once (kept modest for CI fd limits;
-    // BENCH_serve.json exercises 1024), first on the server, then on a
-    // router in front of it. Each gets two pings with every other
-    // connection still live in between.
+    // 200 connections held open at once (kept modest for CI fd limits),
+    // first on the server, then on a router in front of it. Each gets
+    // two pings with every other connection still live in between.
     for (target, addr) in [("server", backend), ("router", router)] {
         let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..200)
             .map(|i| {

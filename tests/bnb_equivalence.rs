@@ -142,6 +142,11 @@ fn trials_plus_skipped_equals_product_of_list_sizes() {
     let product: u64 = o.predictions.iter().map(|l| l.len() as u64).product();
     assert_eq!(o.trials as u64 + o.trace.combinations_skipped, product);
     assert!(o.trace.subtrees_skipped > 0, "the workload must exercise pruning");
+    // The figures README quotes: 9 of the 5 × 4 × 4 = 80 combinations.
+    assert_eq!(
+        (o.trials, o.trace.combinations_skipped, o.trace.subtrees_skipped, product),
+        (9, 71, 17, 80)
+    );
 }
 
 /// The ISSUE's acceptance scenario: on the 3-partition experiment-1

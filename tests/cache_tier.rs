@@ -72,10 +72,16 @@ fn digests_are_identical_cold_warm_restored_at_any_jobs_and_shards() {
         // baseline layout).
         for shards in [1usize, 4, recommended_shards(jobs)] {
             let cold = session_for(7, 3).with_jobs(jobs).with_cache_config(256, shards);
+            let first = cold.explore(Heuristic::Iterative).expect("cold explore");
             assert_eq!(
-                cold.explore(Heuristic::Iterative).expect("cold explore").digest(),
+                first.digest(),
                 reference,
                 "cold digest diverged at jobs={jobs} shards={shards}"
+            );
+            assert_eq!(
+                (first.trace.predictor_calls, first.trace.cache_hits),
+                (3, 0),
+                "a cold explore predicts each of the 3 partitions once"
             );
             // Warm: the same session again, now fully cached.
             let warm = cold.explore(Heuristic::Iterative).expect("warm explore");
@@ -85,7 +91,8 @@ fn digests_are_identical_cold_warm_restored_at_any_jobs_and_shards() {
                 "warm digest diverged at jobs={jobs} shards={shards}"
             );
             assert_eq!(
-                warm.trace.predictor_calls, 0,
+                (warm.trace.predictor_calls, warm.trace.cache_hits),
+                (0, 3),
                 "a warm re-explore must be served entirely from cache"
             );
         }
@@ -109,7 +116,8 @@ fn digests_are_identical_cold_warm_restored_at_any_jobs_and_shards() {
             "snapshot-restored digest diverged at jobs={jobs}"
         );
         assert_eq!(
-            outcome.trace.predictor_calls, 0,
+            (outcome.trace.predictor_calls, outcome.trace.cache_hits),
+            (0, 3),
             "a snapshot-restored explore must be served entirely from cache"
         );
     }
@@ -137,7 +145,11 @@ fn disabled_cache_changes_no_digest() {
         // Re-exploring re-predicts everything — nothing was memoized.
         let again = session.explore(Heuristic::Iterative).expect("second disabled explore");
         assert_eq!(again.digest(), reference);
-        assert!(again.trace.predictor_calls > 0, "no cache means no warm re-explore");
+        assert_eq!(
+            (again.trace.predictor_calls, again.trace.cache_hits),
+            (2, 0),
+            "no cache means no warm re-explore: both partitions re-predict"
+        );
     }
 }
 
