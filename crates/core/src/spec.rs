@@ -600,8 +600,9 @@ impl PartitioningBuilder {
     ///
     /// Returns a [`SpecError`] or [`GroupingError`] (via [`BuildError`])
     /// describing the first problem found: a partition count outside
-    /// `1..=min(nodes, MAX_PARTITIONS)`, empty chip set, bad chip ids, undeclared memories,
-    /// placement mismatches or mutual data dependency between partitions.
+    /// `1..=min(nodes, MAX_PARTITIONS)`, empty chip set, bad chip ids,
+    /// undeclared memories, placement mismatches or mutual data
+    /// dependency between partitions.
     pub fn build(self) -> Result<Partitioning, BuildError> {
         let grouping = match self.grouping {
             Some(g) => g?,
